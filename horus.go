@@ -282,12 +282,9 @@ func newCoreSystem(cfg Config, scheme Scheme, withSec bool, labels ...string) (*
 		CHVRegions:  uint64(cfg.CHVRegions),
 		VaultBlocks: metaLines*2 + 32,
 	})
+	// The store starts empty and grows on demand; callers that know the
+	// machine's footprint (NewSystem, the litmus materialiser) reserve it.
 	nvm := mem.NewController(cfg.Mem)
-	// Pre-size the sparse store for the drain's worst-case footprint: every
-	// hierarchy line lands in the CHV (data + address + MAC blocks ≈ 5/4 per
-	// line) plus its counter/tree/MAC metadata; repeated table growth during
-	// the write burst would otherwise dominate the simulator's own time.
-	nvm.Reserve(int(lines+lines/4) + 4096)
 	enc := cme.NewEngine(cfg.KeySeed)
 	var sec *secmem.Controller
 	if withSec {
@@ -314,9 +311,11 @@ func newCoreSystem(cfg Config, scheme Scheme, withSec bool, labels ...string) (*
 
 // NewSystem builds the machine: NVM, metadata layout sized for the
 // hierarchy's worst-case drain, key engine, secure memory controller (for
-// secure schemes) and drainer.
+// secure schemes) and drainer. The machine drains its whole hierarchy, so
+// its store is sized for that footprint here, outside the timed drain.
 func NewSystem(cfg Config, scheme Scheme) *System {
 	cs, hcfg := newCoreSystem(cfg, scheme, true, "scheme", scheme.String())
+	cs.NVM.Reserve(drainFootprint(cfg, scheme, cs.Layout, uint64(hcfg.TotalLines())))
 	return &System{
 		Config:    cfg,
 		Scheme:    scheme,
@@ -324,6 +323,38 @@ func NewSystem(cfg Config, scheme Scheme) *System {
 		Hierarchy: hierarchy.New(hcfg),
 		drainer:   core.NewDrainer(scheme, cs, 0),
 	}
+}
+
+// drainFootprint bounds the distinct NVM blocks a NewSystem machine writes
+// over Warmup, Fill, Drain and Recover, given its hierarchy's line count.
+// The drain writes at most one block per line into the data region (in
+// place) or the CHV; the secure schemes add the metadata home blocks their
+// writes reach and the metadata-cache vault. Schemes registered beyond the
+// paper's five may write elsewhere; their stores still grow on demand.
+func drainFootprint(cfg Config, scheme Scheme, lay *bmt.Layout, lines uint64) int {
+	if !scheme.Secure() {
+		return int(lines) // data drained in place, no warm-up
+	}
+	warm := uint64(cfg.WarmupWrites)
+	if !scheme.UsesCHV() {
+		// Data and metadata drained in place, vault for the residue.
+		return int(homeFootprint(lay, warm+lines) + lay.VaultBlocks)
+	}
+	// Run-time metadata at home, the CHV's data, address and (SLM-sized)
+	// MAC blocks, and the vault.
+	chv := lines + 2*((lines+7)/8)
+	return int(homeFootprint(lay, warm) + chv + lay.VaultBlocks)
+}
+
+// homeFootprint bounds the home blocks that n distinct data-block writes
+// populate: the data blocks, their MAC blocks and one node per stored tree
+// level (counter blocks are level 0), no level holding more than it has.
+func homeFootprint(lay *bmt.Layout, n uint64) uint64 {
+	total := n + min(n, lay.MACBytes/mem.BlockSize)
+	for _, nodes := range lay.LevelCount[:lay.RootLevel()] {
+		total += min(n, nodes)
+	}
+	return total
 }
 
 // Warmup performs Config.WarmupWrites run-time secure writes at pseudo-

@@ -34,7 +34,7 @@ type Cache struct {
 	blockSize uint64
 	numSets   uint64
 	ways      int
-	sets      [][]line
+	lines     []line // numSets sets of ways lines each, set-major
 	tick      uint64
 	stats     Stats
 
@@ -58,17 +58,19 @@ func New(name string, sizeBytes, ways, blockSize int) *Cache {
 		panic(fmt.Sprintf("cache %s: size %d not divisible by ways*blockSize %d", name, sizeBytes, ways*blockSize))
 	}
 	numSets := sizeBytes / (ways * blockSize)
-	c := &Cache{
+	return &Cache{
 		name:      name,
 		blockSize: uint64(blockSize),
 		numSets:   uint64(numSets),
 		ways:      ways,
-		sets:      make([][]line, numSets),
+		lines:     make([]line, numSets*ways),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, ways)
-	}
-	return c
+}
+
+// set returns the ways of one set.
+func (c *Cache) set(set uint64) []line {
+	base := set * uint64(c.ways)
+	return c.lines[base : base+uint64(c.ways)]
 }
 
 // Name returns the diagnostic name.
@@ -96,8 +98,9 @@ func (c *Cache) addrOf(set, tag uint64) uint64 {
 // On a miss it returns false and counts a miss; it does not allocate.
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			c.tick++
 			l.lru = c.tick
@@ -112,8 +115,9 @@ func (c *Cache) Lookup(addr uint64) bool {
 // Contains probes for addr without touching LRU state or statistics.
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			return true
 		}
@@ -124,8 +128,9 @@ func (c *Cache) Contains(addr uint64) bool {
 // IsDirty reports whether addr is present and dirty (no LRU update).
 func (c *Cache) IsDirty(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			return l.dirty
 		}
@@ -148,8 +153,9 @@ func (c *Cache) Insert(addr uint64, dirty bool) (ev Eviction, evicted bool) {
 	cleanVictim := -1
 	var oldest uint64 = ^uint64(0)
 	var oldestClean uint64 = ^uint64(0)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			panic(fmt.Sprintf("cache %s: Insert of already-present address %#x", c.name, addr))
 		}
@@ -170,7 +176,7 @@ func (c *Cache) Insert(addr uint64, dirty bool) (ev Eviction, evicted bool) {
 	if c.preferClean && oldest != 0 && cleanVictim >= 0 {
 		victim = cleanVictim
 	}
-	v := &c.sets[set][victim]
+	v := &ways[victim]
 	if v.valid {
 		ev = Eviction{Addr: c.addrOf(set, v.tag), Dirty: v.dirty}
 		evicted = true
@@ -188,8 +194,9 @@ func (c *Cache) Insert(addr uint64, dirty bool) (ev Eviction, evicted bool) {
 // optionally dirty.
 func (c *Cache) Touch(addr uint64, makeDirty bool) {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			c.tick++
 			l.lru = c.tick
@@ -205,8 +212,9 @@ func (c *Cache) Touch(addr uint64, makeDirty bool) {
 // Clean clears the dirty bit of addr if present.
 func (c *Cache) Clean(addr uint64) {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			l.dirty = false
 			return
@@ -217,8 +225,9 @@ func (c *Cache) Clean(addr uint64) {
 // Invalidate removes addr if present, returning whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			wasDirty = l.dirty
 			l.valid = false
@@ -233,12 +242,9 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 // ways in physical order (a deterministic hardware-scan order).
 func (c *Cache) ValidLines() []uint64 {
 	var out []uint64
-	for set := uint64(0); set < c.numSets; set++ {
-		for i := range c.sets[set] {
-			l := &c.sets[set][i]
-			if l.valid {
-				out = append(out, c.addrOf(set, l.tag))
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.valid {
+			out = append(out, c.addrOf(uint64(i/c.ways), l.tag))
 		}
 	}
 	return out
@@ -247,12 +253,9 @@ func (c *Cache) ValidLines() []uint64 {
 // DirtyLines returns the addresses of all valid dirty lines in scan order.
 func (c *Cache) DirtyLines() []uint64 {
 	var out []uint64
-	for set := uint64(0); set < c.numSets; set++ {
-		for i := range c.sets[set] {
-			l := &c.sets[set][i]
-			if l.valid && l.dirty {
-				out = append(out, c.addrOf(set, l.tag))
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.valid && l.dirty {
+			out = append(out, c.addrOf(uint64(i/c.ways), l.tag))
 		}
 	}
 	return out
@@ -261,11 +264,9 @@ func (c *Cache) DirtyLines() []uint64 {
 // CountValid returns the number of valid lines.
 func (c *Cache) CountValid() int {
 	n := 0
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			if c.sets[set][i].valid {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].valid {
+			n++
 		}
 	}
 	return n
@@ -274,21 +275,13 @@ func (c *Cache) CountValid() int {
 // CountDirty returns the number of valid dirty lines.
 func (c *Cache) CountDirty() int {
 	n := 0
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			if c.sets[set][i].valid && c.sets[set][i].dirty {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].valid && c.lines[i].dirty {
+			n++
 		}
 	}
 	return n
 }
 
 // InvalidateAll clears the cache (models loss of volatile state at a crash).
-func (c *Cache) InvalidateAll() {
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			c.sets[set][i] = line{}
-		}
-	}
-}
+func (c *Cache) InvalidateAll() { clear(c.lines) }

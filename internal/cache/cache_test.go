@@ -17,6 +17,15 @@ func TestGeometry(t *testing.T) {
 	}
 }
 
+// TestNewAllocatesOneBackingArray pins that a cache's ways share one
+// backing array: building one costs two allocations at any set count, not
+// one per set.
+func TestNewAllocatesOneBackingArray(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { New("llc", 256<<10, 16, 64) }); n > 2 {
+		t.Fatalf("New allocates %v objects, want at most 2", n)
+	}
+}
+
 func TestBadGeometryPanics(t *testing.T) {
 	cases := []struct{ size, ways, bs int }{
 		{0, 1, 64}, {64, 0, 64}, {64, 1, 0}, {100, 1, 64},

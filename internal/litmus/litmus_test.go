@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/mem"
@@ -206,6 +207,60 @@ func TestSampleOrderingAdmissible(t *testing.T) {
 	if o := SampleOrdering(nil, 7); len(o.Applied) != 0 {
 		t.Fatalf("empty epoch sample returned writes")
 	}
+}
+
+// refSampleOne is the map-of-positions coherence fix-up sampleOne used to
+// run; it is kept as the reference sampled orderings must match bit for bit.
+func refSampleOne(writes []Write, groups map[uint64][]int, r *rng) Ordering {
+	n := len(writes)
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := int(r.next() % uint64(i+1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	pos := make(map[uint64][]int)
+	for p, idx := range perm {
+		a := writes[idx].Addr
+		pos[a] = append(pos[a], p)
+	}
+	for a, ps := range pos {
+		sort.Ints(ps)
+		for k, p := range ps {
+			perm[p] = groups[a][k]
+		}
+	}
+	cut := n
+	if n > 1 {
+		cut = 1 + int(r.next()%uint64(n-1))
+	}
+	return Ordering{Kind: "sampled", Applied: append([]int(nil), perm[:cut]...)}
+}
+
+// TestSampleOneMatchesReference pins that sampled orderings are unchanged
+// by the fix-up's implementation: same RNG draws, same applied sets, over
+// address groups of one to several writes.
+func TestSampleOneMatchesReference(t *testing.T) {
+	for _, w := range [][]Write{bigEpoch(23), bigEpoch(64), skewedEpoch(57)} {
+		groups := addrGroups(w)
+		for seed := uint64(0); seed < 100; seed++ {
+			got, want := sampleOne(w, groups, &rng{state: seed}), refSampleOne(w, groups, &rng{state: seed})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d writes, seed %d: sampled %v, reference %v", len(w), seed, got.Applied, want.Applied)
+			}
+		}
+	}
+}
+
+// skewedEpoch writes n blocks over seven addresses with uneven group sizes.
+func skewedEpoch(n int) []Write {
+	out := bigEpoch(n)
+	for i := range out {
+		out[i].Addr = uint64(i*i%7) * 64
+	}
+	return out
 }
 
 func TestMinimize(t *testing.T) {

@@ -261,16 +261,24 @@ func sampleOne(writes []Write, groups map[uint64][]int, r *rng) Ordering {
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	// Coherence fix-up: within each address group, reassign the group's
-	// permutation slots so its writes appear in program order.
-	pos := make(map[uint64][]int)
+	// permutation slots so its writes appear in program order. Groups are
+	// disjoint, so the order they are visited in does not matter.
+	inv := make([]int, n) // inv[idx] is the slot write idx was drawn into
 	for p, idx := range perm {
-		a := writes[idx].Addr
-		pos[a] = append(pos[a], p)
+		inv[idx] = p
 	}
-	for a, ps := range pos {
-		sort.Ints(ps)
-		for k, p := range ps {
-			perm[p] = groups[a][k]
+	var slots []int
+	for _, g := range groups {
+		if len(g) < 2 {
+			continue
+		}
+		slots = slots[:0]
+		for _, idx := range g {
+			slots = append(slots, inv[idx])
+		}
+		sort.Ints(slots)
+		for k, p := range slots {
+			perm[p] = g[k]
 		}
 	}
 	cut := n

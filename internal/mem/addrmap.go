@@ -28,50 +28,52 @@ func hashAddr(addr uint64) uint64 {
 	return (addr >> 6) * 0x9E3779B97F4A7C15
 }
 
-// get returns the value for addr and whether it is present.
-func (m *addrMap[V]) get(addr uint64) (V, bool) {
-	if m.n == 0 {
-		var zero V
-		return zero, false
-	}
+// find returns the slot holding addr, or the empty slot where a probe for it
+// ends. The table must have slots, and the load limit keeps one empty.
+func (m *addrMap[V]) find(addr uint64) uint64 {
 	mask := uint64(len(m.keys) - 1)
 	tagged := addr | 1
-	for i := hashAddr(addr) & mask; ; i = (i + 1) & mask {
-		k := m.keys[i]
-		if k == tagged {
+	i := hashAddr(addr) & mask
+	for m.keys[i] != tagged && m.keys[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns the value for addr and whether it is present.
+func (m *addrMap[V]) get(addr uint64) (V, bool) {
+	if m.n > 0 {
+		if i := m.find(addr); m.keys[i] != 0 {
 			return m.vals[i], true
 		}
-		if k == 0 {
-			var zero V
-			return zero, false
-		}
 	}
+	var zero V
+	return zero, false
 }
 
 // ref returns a pointer to the value slot for addr, inserting a zero value
 // if absent. The pointer is only valid until the next ref call (growth
-// rehashes into new arrays).
+// rehashes into new arrays). Only an insertion past cap grows the table.
 func (m *addrMap[V]) ref(addr uint64) *V {
 	if len(m.keys) == 0 {
 		m.keys = make([]uint64, addrMapMinSlots)
 		m.vals = make([]V, addrMapMinSlots)
-	} else if m.n*4 >= len(m.keys)*3 {
-		m.grow()
 	}
-	mask := uint64(len(m.keys) - 1)
-	tagged := addr | 1
-	for i := hashAddr(addr) & mask; ; i = (i + 1) & mask {
-		k := m.keys[i]
-		if k == tagged {
-			return &m.vals[i]
+	i := m.find(addr)
+	if m.keys[i] == 0 {
+		if m.n == m.cap() {
+			m.grow()
+			i = m.find(addr)
 		}
-		if k == 0 {
-			m.keys[i] = tagged
-			m.n++
-			return &m.vals[i]
-		}
+		m.keys[i] = addr | 1
+		m.n++
 	}
+	return &m.vals[i]
 }
+
+// cap returns how many entries the table holds before it next grows: the
+// slot count at the 3/4 load limit.
+func (m *addrMap[V]) cap() int { return len(m.keys) / 4 * 3 }
 
 // reserve sizes the table for at least n entries at the target load factor,
 // avoiding repeated doubling-rehash cycles (each copies the full 64-byte
@@ -105,17 +107,11 @@ func (m *addrMap[V]) grow() {
 
 // rehash reinserts every occupied slot of the old arrays.
 func (m *addrMap[V]) rehash(oldKeys []uint64, oldVals []V) {
-	mask := uint64(len(m.keys) - 1)
 	for i, k := range oldKeys {
-		if k == 0 {
-			continue
-		}
-		for j := hashAddr(k &^ 1) & mask; ; j = (j + 1) & mask {
-			if m.keys[j] == 0 {
-				m.keys[j] = k
-				m.vals[j] = oldVals[i]
-				break
-			}
+		if k != 0 {
+			j := m.find(k &^ 1)
+			m.keys[j] = k
+			m.vals[j] = oldVals[i]
 		}
 	}
 }

@@ -85,6 +85,36 @@ func TestAddrMapDifferentialVsMap(t *testing.T) {
 	}
 }
 
+// TestStoreReserveHoldsFootprint pins the sizing contract callers rely on:
+// after Reserve(n) the store takes n blocks, and rewrites of them, without
+// growing; only the next new block past Cap grows the table.
+func TestStoreReserveHoldsFootprint(t *testing.T) {
+	const n = 1000
+	s := NewStore()
+	s.Reserve(n)
+	c := s.Cap()
+	if c < n {
+		t.Fatalf("Cap after Reserve(%d) = %d", n, c)
+	}
+	blk := func(i int) Block { return Block{byte(i), byte(i >> 8), 1} }
+	for i := 0; i < c; i++ {
+		s.WriteBlock(uint64(i)*BlockSize, blk(i))
+	}
+	s.WriteBlock(0, blk(0))
+	if s.Cap() != c || s.Populated() != c {
+		t.Fatalf("filling to Cap grew the store: Cap %d -> %d, Populated %d", c, s.Cap(), s.Populated())
+	}
+	s.WriteBlock(uint64(c)*BlockSize, blk(c))
+	if s.Cap() <= c {
+		t.Fatalf("insert past Cap did not grow: Cap %d", s.Cap())
+	}
+	for i := 0; i <= c; i++ {
+		if s.ReadBlock(uint64(i)*BlockSize) != blk(i) {
+			t.Fatalf("block %d lost across growth", i)
+		}
+	}
+}
+
 // TestStoreDifferentialVsMap exercises the public Store API against a map
 // reference, including Snapshot isolation and AddressesInRange ordering.
 func TestStoreDifferentialVsMap(t *testing.T) {

@@ -171,7 +171,7 @@ func NewController(cfg Config) *Controller {
 	}
 	c := &Controller{
 		cfg:    cfg,
-		store:  NewShardedStore(cfg.Banks),
+		store:  NewStore(),
 		bus:    sim.NewResource("membus"),
 		reads:  sim.NewCounterSet(),
 		writes: sim.NewCounterSet(),
@@ -202,6 +202,7 @@ func (c *Controller) Store() *Store { return c.store }
 
 // Reserve pre-sizes the backing store (fused block content + wear entries)
 // for an expected footprint of n populated blocks (see Store.Reserve).
+// Without it the store grows on demand.
 func (c *Controller) Reserve(n int) {
 	c.store.Reserve(n)
 }

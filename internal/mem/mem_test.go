@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -397,5 +398,51 @@ func TestControllerWriteReadProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestControllerWearThroughFusedEntries pins that the fused store entry
+// reproduces the former separate wear table: timed writes wear, functional
+// writes do not, resets preserve wear, and the stats filter zero-wear
+// entries out of UniqueBlocks.
+func TestControllerWearThroughFusedEntries(t *testing.T) {
+	c := NewController(DefaultConfig())
+	var b Block
+	b[0] = 0xAB
+	c.Write(0, 0, b, CatData)
+	c.Write(0, 0, b, CatData)
+	c.Write(0, 64, b, CatData)
+	c.Store().WriteBlock(128, b) // functional write: populated but no wear
+
+	if got := c.WearOf(0); got != 2 {
+		t.Fatalf("WearOf(0) = %d, want 2", got)
+	}
+	ws := c.WearStats()
+	if ws.UniqueBlocks != 2 {
+		t.Fatalf("UniqueBlocks = %d, want 2 (functional writes must not count)", ws.UniqueBlocks)
+	}
+	if ws.TotalWrites != 3 || ws.MaxWrites != 2 || ws.HotAddr != 0 {
+		t.Fatalf("WearStats = %+v, want total 3, max 2 at 0", ws)
+	}
+	c.ResetStats()
+	if got := c.WearOf(0); got != 2 {
+		t.Fatalf("wear reset by ResetStats: WearOf(0) = %d, want 2", got)
+	}
+	if c.Store().Populated() != 3 {
+		t.Fatalf("Populated = %d, want 3", c.Store().Populated())
+	}
+}
+
+// TestBankOfExportedMatchesController pins that the exported partitioning
+// fold and the controller's internal bank routing agree — the property the
+// per-bank work-list partition relies on.
+func TestBankOfExportedMatchesController(t *testing.T) {
+	c := NewController(DefaultConfig())
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 4096; i++ {
+		addr := uint64(rng.Intn(1<<20)) * BlockSize
+		if c.BankOf(addr) != BankOf(addr, c.Banks()) {
+			t.Fatalf("Controller.BankOf(%#x) != BankOf(addr, %d)", addr, c.Banks())
+		}
 	}
 }

@@ -36,33 +36,17 @@ type storeEntry struct {
 // Store is a sparse functional memory: unwritten blocks read as zero.
 // Addresses are byte addresses and must be 64-byte aligned.
 //
-// Blocks live in open-addressed tables (addrmap.go) rather than Go maps:
+// Blocks live in one open-addressed table (addrmap.go) rather than a Go map:
 // every timed access funnels through ReadBlock/WriteBlock, so the probe cost
 // and the map's per-bucket overhead are on the simulator's hottest path.
-// The table is partitioned into per-bank shards using the controller's bank
-// interleaving (BankOf), so a sharded drain can give each worker exclusive
-// ownership of whole banks with no cross-shard writes; a single-shard store
-// (NewStore) behaves identically.
+// The table grows on demand; code that knows a machine's footprint up front
+// sizes it once with Reserve.
 type Store struct {
-	shards []addrMap[storeEntry]
+	m addrMap[storeEntry]
 }
 
-// NewStore returns an empty single-shard store.
-func NewStore() *Store { return NewShardedStore(1) }
-
-// NewShardedStore returns an empty store partitioned into the given number
-// of per-bank shards. Shard assignment follows BankOf with the same count,
-// so a controller with n banks over an n-shard store keeps each bank's
-// blocks in exactly one shard.
-func NewShardedStore(shards int) *Store {
-	if shards <= 0 {
-		shards = 1
-	}
-	return &Store{shards: make([]addrMap[storeEntry], shards)}
-}
-
-// Shards returns the number of per-bank shards.
-func (s *Store) Shards() int { return len(s.shards) }
+// NewStore returns an empty store.
+func NewStore() *Store { return &Store{} }
 
 func checkAligned(addr uint64) {
 	if addr%BlockSize != 0 {
@@ -70,18 +54,10 @@ func checkAligned(addr uint64) {
 	}
 }
 
-// shard returns the shard owning addr.
-func (s *Store) shard(addr uint64) *addrMap[storeEntry] {
-	if len(s.shards) == 1 {
-		return &s.shards[0]
-	}
-	return &s.shards[BankOf(addr, len(s.shards))]
-}
-
 // ReadBlock returns the content of the block at addr (zero if never written).
 func (s *Store) ReadBlock(addr uint64) Block {
 	checkAligned(addr)
-	e, _ := s.shard(addr).get(addr)
+	e, _ := s.m.get(addr)
 	return e.b
 }
 
@@ -89,21 +65,20 @@ func (s *Store) ReadBlock(addr uint64) Block {
 // writes from tests and recovery are not medium writes).
 func (s *Store) WriteBlock(addr uint64, b Block) {
 	checkAligned(addr)
-	s.shard(addr).ref(addr).b = b
+	s.m.ref(addr).b = b
 }
 
 // entry returns a pointer to the block's fused content+wear entry, inserting
 // a zero entry if absent. The pointer is invalidated by the next insertion
-// into the same shard (table growth); the controller uses it strictly within
-// one access.
+// (table growth); the controller uses it strictly within one access.
 func (s *Store) entry(addr uint64) *storeEntry {
 	checkAligned(addr)
-	return s.shard(addr).ref(addr)
+	return s.m.ref(addr)
 }
 
 // wearOf returns the lifetime write count of one block.
 func (s *Store) wearOf(addr uint64) int64 {
-	e, _ := s.shard(addr).get(addr)
+	e, _ := s.m.get(addr)
 	return e.wear
 }
 
@@ -111,56 +86,35 @@ func (s *Store) wearOf(addr uint64) int64 {
 // unspecified order. Blocks only ever written functionally (wear zero) are
 // skipped, preserving the semantics of the former separate wear table.
 func (s *Store) eachWear(fn func(addr uint64, wear int64)) {
-	for i := range s.shards {
-		s.shards[i].each(func(a uint64, e storeEntry) {
-			if e.wear != 0 {
-				fn(a, e.wear)
-			}
-		})
-	}
+	s.m.each(func(a uint64, e storeEntry) {
+		if e.wear != 0 {
+			fn(a, e.wear)
+		}
+	})
 }
 
 // Populated returns the number of blocks that have been written.
-func (s *Store) Populated() int {
-	n := 0
-	for i := range s.shards {
-		n += s.shards[i].len()
-	}
-	return n
-}
+func (s *Store) Populated() int { return s.m.len() }
 
-// Reserve pre-sizes the store for at least n populated blocks, so the
-// drain's write burst doesn't pay repeated table-growth rehashes. It never
-// shrinks and is safe at any time. The reservation assumes blocks spread
-// roughly evenly across shards (they do: BankOf interleaves), with slack so
-// moderate imbalance still avoids rehashing.
-func (s *Store) Reserve(n int) {
-	per := n
-	if len(s.shards) > 1 {
-		per = n/len(s.shards) + n/(4*len(s.shards)) + 16
-	}
-	for i := range s.shards {
-		s.shards[i].reserve(per)
-	}
-}
+// Cap returns how many blocks the store holds before its table next grows.
+func (s *Store) Cap() int { return s.m.cap() }
+
+// Reserve pre-sizes the store for at least n populated blocks, so a write
+// burst of known footprint doesn't pay repeated table-growth rehashes. It
+// never shrinks and is safe at any time.
+func (s *Store) Reserve(n int) { s.m.reserve(n) }
 
 // Snapshot returns a deep copy of the store, used by tests to compare
 // pre-crash and post-recovery memory images.
 func (s *Store) Snapshot() *Store {
-	out := &Store{shards: make([]addrMap[storeEntry], len(s.shards))}
-	for i := range s.shards {
-		out.shards[i] = s.shards[i].clone()
-	}
-	return out
+	return &Store{m: s.m.clone()}
 }
 
 // Each calls fn for every populated block, in unspecified order. The litmus
 // harness uses it to copy a snapshotted image into a fresh system's store;
 // callers needing a deterministic order should collect and sort.
 func (s *Store) Each(fn func(addr uint64, b Block)) {
-	for i := range s.shards {
-		s.shards[i].each(func(a uint64, e storeEntry) { fn(a, e.b) })
-	}
+	s.m.each(func(a uint64, e storeEntry) { fn(a, e.b) })
 }
 
 // AddressesInRange returns the sorted addresses of populated blocks within
@@ -168,13 +122,11 @@ func (s *Store) Each(fn func(addr uint64, b Block)) {
 // the full (sparse) address space.
 func (s *Store) AddressesInRange(lo, hi uint64) []uint64 {
 	var out []uint64
-	for i := range s.shards {
-		s.shards[i].each(func(a uint64, _ storeEntry) {
-			if a >= lo && a < hi {
-				out = append(out, a)
-			}
-		})
-	}
+	s.m.each(func(a uint64, _ storeEntry) {
+		if a >= lo && a < hi {
+			out = append(out, a)
+		}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -184,7 +136,7 @@ func (s *Store) AddressesInRange(lo, hi uint64) []uint64 {
 // previous block content.
 func (s *Store) CorruptByte(addr uint64, byteOffset int, bitMask byte) Block {
 	checkAligned(addr)
-	p := s.shard(addr).ref(addr)
+	p := s.m.ref(addr)
 	old := p.b
 	p.b[byteOffset] ^= bitMask
 	return old

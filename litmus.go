@@ -364,6 +364,8 @@ func recordLitmusEpisode(cfg Config, scheme Scheme, w *Workload) (*litmusEpisode
 func (ep *litmusEpisode) materialize(cfg Config, ei int, applied []int) *core.System {
 	sys, _ := newCoreSystem(cfg, ep.scheme, true)
 	st := sys.NVM.Store()
+	// The final image holds every block the materialised image can.
+	st.Reserve(ep.final.Populated())
 	ep.pre.Each(func(a uint64, b mem.Block) { st.WriteBlock(a, b) })
 	e := ep.epochs[ei]
 	for _, w := range ep.writes[:e.Lo] {
