@@ -140,11 +140,7 @@ func FleetWorkloadNames() []string {
 // LLC size, bank count, seed and battery budget applied, all shared sinks
 // detached (machines measure in parallel and must share no mutable state).
 func machineConfig(base Config, spec cluster.MachineSpec, tech string) Config {
-	cfg := base
-	cfg.Metrics = nil
-	cfg.Timeseries = nil
-	cfg.Timeline = nil
-	cfg.Evlog = nil
+	cfg := detachSinks(base)
 	cfg.Seed = spec.Seed
 	if cfg.Hierarchy != nil {
 		// Deep-copy the explicit hierarchy and resize its last level to the

@@ -199,12 +199,24 @@ type Config struct {
 	// series and the drain SLO rules.
 	BatteryJoules float64
 	// Shards is the drain pipeline's crypto fan-out width: shard-owned
-	// engine clones precompute OTPs and MACs over per-bank work lists
+	// engine clones precompute the Horus CHV drain's ciphertexts and MACs
 	// while the timed state machine replays serially, so results, traces
 	// and time series are byte-identical at any value (DESIGN.md §13).
 	// Zero or negative selects GOMAXPROCS; 1 forces the inline serial
 	// path. Exposed on every CLI as -shards.
 	Shards int
+}
+
+// detachSinks returns cfg with every shared telemetry sink cleared: Metrics,
+// Timeline, Timeseries and Evlog. Harnesses whose cells or machines run in
+// parallel build them from it so no two share a mutable recorder; those that
+// report aggregates merge into the caller's sinks afterwards.
+func detachSinks(cfg Config) Config {
+	cfg.Metrics = nil
+	cfg.Timeline = nil
+	cfg.Timeseries = nil
+	cfg.Evlog = nil
+	return cfg
 }
 
 // DefaultConfig returns the paper's Table I configuration at full scale:

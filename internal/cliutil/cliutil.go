@@ -65,14 +65,14 @@ func (mf *MetricsFlags) Write(reg *horus.MetricsRegistry) error {
 
 // AddShardsFlag registers the shared -shards flag on the default flag set;
 // call before flag.Parse. The value is the drain pipeline's crypto fan-out
-// width (Config.Shards): shard-owned engine clones precompute OTPs and MACs
-// over per-bank work lists while the timed drain replays serially, so every
-// output — results, traces, time series — is byte-identical at any value.
-// Zero (the default) resolves to GOMAXPROCS at drain time; 1 forces the
-// fully inline serial path.
+// width (Config.Shards): shard-owned engine clones precompute the Horus CHV
+// drain's ciphertexts and MACs while the timed drain replays serially, so
+// every output — results, traces, time series — is byte-identical at any
+// value. Zero (the default) resolves to GOMAXPROCS at drain time; 1 forces
+// the fully inline serial path.
 func AddShardsFlag() *int {
 	return flag.Int("shards", 0,
-		"drain crypto shards: engine clones precomputing OTPs and MACs per bank (0 = GOMAXPROCS, 1 = serial inline; outputs are byte-identical at any value)")
+		"drain crypto shards: engine clones precomputing the CHV drain's ciphertexts and MACs (0 = GOMAXPROCS, 1 = serial inline; outputs are byte-identical at any value)")
 }
 
 // ParseScheme maps a user-facing name to a drain design. Accepted forms:

@@ -18,35 +18,3 @@ package cme
 func (e *Engine) Clone() *Engine {
 	return &Engine{block: e.block, macKey: e.macKey}
 }
-
-// SealRun encrypts and MACs a run of blocks in one batched call: for each i,
-// cts[i] = Encrypt(addrs[i], ctrs[i], plains[i]) and macs[i] =
-// DataMAC(addrs[i], ctrs[i], cts[i]). A nil macs skips the MAC pass. The
-// outputs are byte-identical to per-block Encrypt/DataMAC calls; batching
-// exists so a shard amortises call overhead over its whole block run.
-func (e *Engine) SealRun(addrs, ctrs []uint64, plains, cts [][64]byte, macs []MAC) {
-	if len(ctrs) != len(addrs) || len(plains) != len(addrs) || len(cts) != len(addrs) {
-		panic("cme: SealRun slice lengths differ")
-	}
-	if macs != nil && len(macs) != len(addrs) {
-		panic("cme: SealRun mac slice length differs")
-	}
-	for i := range addrs {
-		cts[i] = e.Encrypt(addrs[i], ctrs[i], plains[i])
-		if macs != nil {
-			macs[i] = e.DataMAC(addrs[i], ctrs[i], cts[i])
-		}
-	}
-}
-
-// NodeMACRun computes the NodeMACs of a run of same-level tree nodes with
-// consecutive indices start, start+1, ...: out[i] = NodeMAC(level, start+i,
-// content[i]). Used to fan the metadata-vault leaf MACs out across shards.
-func (e *Engine) NodeMACRun(level int, start uint64, content [][64]byte, out []MAC) {
-	if len(out) != len(content) {
-		panic("cme: NodeMACRun slice lengths differ")
-	}
-	for i := range content {
-		out[i] = e.NodeMAC(level, start+uint64(i), content[i])
-	}
-}

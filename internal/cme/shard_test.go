@@ -46,69 +46,13 @@ func TestCloneScratchIsIndependent(t *testing.T) {
 	}
 }
 
-// TestSealRunMatchesSerial verifies the batched shard API against per-block
-// Encrypt/DataMAC calls (which are themselves pinned to the CTR and
-// streaming-SHA256 oracles by the differential tests).
-func TestSealRunMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(31337))
-	e := NewEngine(11)
-	for _, n := range []int{0, 1, 7, 64, 257} {
-		addrs := make([]uint64, n)
-		ctrs := make([]uint64, n)
-		plains := make([][64]byte, n)
-		cts := make([][64]byte, n)
-		macs := make([]MAC, n)
-		for i := 0; i < n; i++ {
-			addrs[i] = rng.Uint64() &^ 63
-			ctrs[i] = rng.Uint64()
-			rng.Read(plains[i][:])
-		}
-		e.SealRun(addrs, ctrs, plains, cts, macs)
-		for i := 0; i < n; i++ {
-			wantCT := e.Encrypt(addrs[i], ctrs[i], plains[i])
-			if cts[i] != wantCT {
-				t.Fatalf("n=%d: SealRun ct[%d] diverges from Encrypt", n, i)
-			}
-			if macs[i] != e.DataMAC(addrs[i], ctrs[i], wantCT) {
-				t.Fatalf("n=%d: SealRun mac[%d] diverges from DataMAC", n, i)
-			}
-		}
-		// macs == nil skips the MAC pass but must produce the same ciphertext.
-		cts2 := make([][64]byte, n)
-		e.SealRun(addrs, ctrs, plains, cts2, nil)
-		for i := 0; i < n; i++ {
-			if cts2[i] != cts[i] {
-				t.Fatalf("n=%d: SealRun without MACs changed ct[%d]", n, i)
-			}
-		}
-	}
-}
-
-// TestNodeMACRunMatchesSerial verifies the batched leaf-MAC API against
-// per-node NodeMAC calls.
-func TestNodeMACRunMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(4096))
-	e := NewEngine(13)
-	content := make([][64]byte, 33)
-	for i := range content {
-		rng.Read(content[i][:])
-	}
-	out := make([]MAC, len(content))
-	const level, start = 20, uint64(1) << 20
-	e.NodeMACRun(level, start, content, out)
-	for i := range content {
-		if out[i] != e.NodeMAC(level, start+uint64(i), content[i]) {
-			t.Fatalf("NodeMACRun out[%d] diverges from NodeMAC", i)
-		}
-	}
-}
-
 // TestShardEngineHammerRace is the enforced concurrency contract of the
-// shard-owned engine (run under -race in CI): N clones of one engine seal
-// the same block run concurrently — repeatedly, to interleave their scratch
-// usage — and every shard's ciphertexts and MACs must be byte-identical to
-// the serial parent path. A shared scratch buffer or any hidden mutable
-// state would fail the race detector and the byte comparison.
+// shard-owned engine (run under -race in CI): N clones of one engine run the
+// CHV drain's crypto — Encrypt, DataMAC and MACOverMACs per 8-block group —
+// over the same block run concurrently, repeatedly, to interleave their
+// scratch usage, and every shard's ciphertexts and MACs must be
+// byte-identical to the serial parent path. A shared scratch buffer or any
+// hidden mutable state would fail the race detector and the byte comparison.
 func TestShardEngineHammerRace(t *testing.T) {
 	const shards = 8
 	const blocks = 512
@@ -125,30 +69,50 @@ func TestShardEngineHammerRace(t *testing.T) {
 		rng.Read(plains[i][:])
 	}
 
+	// seal computes every block's ciphertext and data MAC, then the MAC over
+	// each group of eight data MACs.
+	seal := func(e *Engine, cts [][64]byte, macs, groups []MAC) {
+		for i := range addrs {
+			cts[i] = e.Encrypt(addrs[i], ctrs[i], plains[i])
+			macs[i] = e.DataMAC(addrs[i], ctrs[i], cts[i])
+		}
+		for g := range groups {
+			groups[g] = e.MACOverMACs(uint64(g), macs[g*8:g*8+8])
+		}
+	}
+
 	// Serial oracle through the parent engine.
 	wantCT := make([][64]byte, blocks)
 	wantMAC := make([]MAC, blocks)
-	parent.SealRun(addrs, ctrs, plains, wantCT, wantMAC)
+	wantGroup := make([]MAC, blocks/8)
+	seal(parent, wantCT, wantMAC, wantGroup)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, shards)
 	for s := 0; s < shards; s++ {
 		eng := parent.Clone()
 		wg.Add(1)
-		go func(s int, eng *Engine) {
+		go func(eng *Engine) {
 			defer wg.Done()
 			cts := make([][64]byte, blocks)
 			macs := make([]MAC, blocks)
+			groups := make([]MAC, blocks/8)
 			for r := 0; r < rounds; r++ {
-				eng.SealRun(addrs, ctrs, plains, cts, macs)
+				seal(eng, cts, macs, groups)
 				for i := 0; i < blocks; i++ {
 					if cts[i] != wantCT[i] || macs[i] != wantMAC[i] {
 						errs <- "shard output diverges from serial path"
 						return
 					}
 				}
+				for g := range groups {
+					if groups[g] != wantGroup[g] {
+						errs <- "shard group MAC diverges from serial path"
+						return
+					}
+				}
 			}
-		}(s, eng)
+		}(eng)
 	}
 	wg.Wait()
 	close(errs)

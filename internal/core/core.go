@@ -201,10 +201,10 @@ type System struct {
 	BatteryJoules float64
 
 	// Shards is the drain pipeline's crypto fan-out width: the number of
-	// shard-owned engine clones that precompute OTPs and MACs while the
-	// timed state machine replays serially (DESIGN.md §13). Zero or
-	// negative selects GOMAXPROCS; 1 is the fully inline serial path.
-	// Outputs are byte-identical at any value.
+	// shard-owned engine clones that precompute the CHV drain's
+	// ciphertexts and MACs while the timed state machine replays serially
+	// (DESIGN.md §13). Zero or negative selects GOMAXPROCS; 1 is the fully
+	// inline serial path. Outputs are byte-identical at any value.
 	Shards int
 }
 
@@ -335,11 +335,6 @@ func (d *Drainer) Drain(blocks []hierarchy.DirtyBlock) (Result, error) {
 	// Fig. 12, but required for crash consistency).
 	var vault secmem.VaultRecord
 	if d.impl.Secure() {
-		if d.shards > 1 {
-			// Hand the shard-owned crypto contexts to the metadata flush so
-			// the vault's leaf MACs fan out over the per-bank work lists.
-			d.sys.Sec.SetShardEngines(d.shardEngines())
-		}
 		d.sys.NVM.MarkStage("drain:meta-flush")
 		metaSpan := reg.StartSpan("flush-metadata", int64(t))
 		var done sim.Time
@@ -443,17 +438,6 @@ func (d *Drainer) DrainInPlace(blocks []hierarchy.DirtyBlock) sim.Time {
 // (lazy or eager), data-MAC update, encrypt, write in place (Fig. 8 part B).
 // The update scheme (lazy/eager) is the secure controller's configured one.
 func (d *Drainer) DrainBaseline(blocks []hierarchy.DirtyBlock) (sim.Time, error) {
-	if d.shards > 1 && len(blocks) >= shardMinBlocks {
-		// Sharded pipeline: a serial pre-pass speculates each block's
-		// post-increment counter from the logical metadata state, the shard
-		// engines seal (encrypt + MAC) every block in parallel, and the
-		// timed serial replay below consumes a hint only when the counter
-		// it actually computed matches the speculation — so evictions,
-		// overflows and injected faults can at worst waste a hint, never
-		// change a byte (DESIGN.md §13).
-		d.sys.Sec.SetDrainHints(d.sys.Sec.PrecomputeDrainHints(blocks, d.shardEngines()))
-		defer d.sys.Sec.ClearDrainHints()
-	}
 	var t sim.Time
 	for _, b := range blocks {
 		done, err := d.sys.Sec.WriteBlock(0, b.Addr, b.Data)

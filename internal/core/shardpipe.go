@@ -14,26 +14,24 @@ import (
 // The drain's timed state machine — drain-counter advance, engine issue
 // slots, bank reservations, register coalescing, sampling — stays strictly
 // serial and is byte-for-byte the code that runs at -shards=1. What fans out
-// across shard-owned crypto contexts is only the *functional* crypto: OTP
-// generation, data-MAC and second-level-MAC byte computation. Those values
-// are pure functions of (address, counter, content); every worker writes its
-// results into pre-assigned slots of pre-sized slices, so the bytes are
-// identical no matter how many shards compute them or in what order workers
-// finish. The serial replay then consumes the slots in drain order, issuing
-// the exact same timed operations it always did.
+// across shard-owned crypto contexts is only the *functional* crypto of the
+// CHV stream drains: OTP generation, data-MAC and second-level-MAC byte
+// computation. Those values are pure functions of (address, counter,
+// content); every worker writes its results into pre-assigned slots of
+// pre-sized slices, so the bytes are identical no matter how many shards
+// compute them or in what order workers finish. The serial replay then
+// consumes the slots in drain order, issuing the exact same timed operations
+// it always did. Baseline drains and the metadata flush always run serially.
 //
 // Consequence: drain results — ciphertext, MACs, Result counters, -trace
 // timelines, /timeseries.json — are bit-identical at any shard count, which
 // TestShardedDrainDeterminism pins per scheme.
 
 // shardMinBlocks is the fan-out threshold: below it the per-drain setup
-// (clone pool, hint slices, goroutine join) costs more than it saves, so
-// small drains always take the inline path. Outputs are identical either
+// (clone pool, precompute slices, goroutine join) costs more than it saves,
+// so small drains always take the inline path. Outputs are identical either
 // way; the threshold is purely a performance knob.
 const shardMinBlocks = 64
-
-// ShardCount returns the effective shard count of the drain pipeline.
-func (d *Drainer) ShardCount() int { return d.shards }
 
 // resolveShards maps the configured shard count to the effective one:
 // zero or negative means GOMAXPROCS (the -shards flag default).

@@ -434,8 +434,8 @@ func TestControllerWearThroughFusedEntries(t *testing.T) {
 }
 
 // TestBankOfExportedMatchesController pins that the exported partitioning
-// fold and the controller's internal bank routing agree — the property the
-// per-bank work-list partition relies on.
+// fold and the controller's internal bank routing agree — the property any
+// caller partitioning blocks by bank relies on.
 func TestBankOfExportedMatchesController(t *testing.T) {
 	c := NewController(DefaultConfig())
 	rng := rand.New(rand.NewSource(3))

@@ -151,15 +151,6 @@ type Controller struct {
 
 	evictionDepth int
 
-	// Sharded drain pipeline state (drainhints.go, flush.go): the
-	// positional hint stream of the baseline drain in progress and the
-	// shard-owned engine clones the vault flush fans leaf MACs over.
-	drainHints         []DrainHint
-	drainHintNext      int
-	drainHintsUsed     int64
-	drainHintsRejected int64
-	shardEngines       []*cme.Engine
-
 	m  *engineMetrics     // optional crypto-engine instrumentation
 	tl *timeline.Recorder // optional event-timeline recorder
 }
@@ -338,11 +329,6 @@ func (c *Controller) logicalRead(addr uint64) mem.Block {
 	}
 	return c.nvm.PeekRead(addr)
 }
-
-// SetShardEngines hands the controller the drain pipeline's shard-owned
-// crypto contexts (nil disables fan-out). The metadata flush uses them to
-// precompute the vault's leaf MACs over per-bank work lists.
-func (c *Controller) SetShardEngines(engines []*cme.Engine) { c.shardEngines = engines }
 
 // IssueAES exposes the shared AES engine to the drain path: Horus reuses
 // the run-time crypto engines during draining (§IV-D).

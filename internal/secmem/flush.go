@@ -8,7 +8,6 @@ import (
 	"repro/internal/bmt"
 	"repro/internal/cme"
 	"repro/internal/mem"
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -87,11 +86,7 @@ func (c *Controller) flushToVault(now sim.Time) (VaultRecord, sim.Time) {
 	if need > c.lay.VaultBlocks {
 		panic(fmt.Sprintf("secmem: vault capacity %d too small for %d blocks", c.lay.VaultBlocks, need))
 	}
-	// The payload is a pure function of the dirty lines, so it — and, under
-	// the sharded pipeline, the leaf MACs over it — can be built before any
-	// timed write is issued.
 	vaultContent := vaultPayload(lines)
-	leaves := c.precomputeVaultLeaves(vaultContent)
 	c.nvm.MarkStage("meta:vault-payload")
 	t := now
 	// Content blocks first, then packed address blocks. Note the cached
@@ -103,7 +98,7 @@ func (c *Controller) flushToVault(now sim.Time) (VaultRecord, sim.Time) {
 		t = sim.MaxTime(t, done)
 	}
 	var tMac sim.Time = t
-	root := computeVaultRootPre(c.eng, vaultContent, leaves, func() {
+	root := ComputeVaultRoot(c.eng, vaultContent, func() {
 		tMac = c.issueMAC(tMac, MACMetaProtect)
 	})
 	t = sim.MaxTime(t, tMac)
@@ -117,11 +112,7 @@ func (c *Controller) flushToVault(now sim.Time) (VaultRecord, sim.Time) {
 			var macs []cme.MAC
 			for i := g * 8; i < (g+1)*8 && i < payload; i++ {
 				tMac = c.issueMAC(tMac, MACMetaProtect)
-				if leaves != nil {
-					macs = append(macs, leaves[i])
-				} else {
-					macs = append(macs, c.eng.NodeMAC(1<<20, uint64(i), vaultContent[i]))
-				}
+				macs = append(macs, c.eng.NodeMAC(1<<20, uint64(i), vaultContent[i]))
 			}
 			done := c.nvm.Write(now, c.lay.VaultAddr(uint64(payload+g)), cme.PackMACs(macs), mem.CatMetaFlush)
 			t = sim.MaxTime(t, sim.MaxTime(done, tMac))
@@ -208,65 +199,11 @@ func vaultPayload(lines []VaultLine) []mem.Block {
 	return out
 }
 
-// VaultPayloadBlocks returns the serial vault payload a lazy metadata flush
-// would write right now — the work list the per-shard partition property
-// tests compare against.
-func (c *Controller) VaultPayloadBlocks() []mem.Block {
-	return vaultPayload(c.dirtyLinesOrdered())
-}
-
-// ShardVaultWork partitions the vault payload slots [0, payload) into
-// per-shard work lists by bank ownership: slot s belongs to the shard that
-// owns its vault address's bank, mem.BankOf(lay.VaultAddr(s), shards). The
-// lists are deterministic (slots ascend within each list), disjoint, and
-// their union is exactly the serial payload slot sequence — the property
-// TestShardVaultWorkPartition pins across all five schemes.
-func ShardVaultWork(lay *bmt.Layout, payload, shards int) [][]uint64 {
-	lists := make([][]uint64, shards)
-	for s := 0; s < payload; s++ {
-		b := mem.BankOf(lay.VaultAddr(uint64(s)), shards)
-		lists[b] = append(lists[b], uint64(s))
-	}
-	return lists
-}
-
-// vaultShardMinBlocks is the fan-out threshold of the vault leaf MACs;
-// below it the pool setup outweighs the hashing.
-const vaultShardMinBlocks = 32
-
-// precomputeVaultLeaves computes the vault payload's leaf MACs across the
-// drain pipeline's shard engines, each shard walking its per-bank work
-// list. Returns nil (inline computation) without shard engines or for
-// small vaults; the computed bytes are identical either way.
-func (c *Controller) precomputeVaultLeaves(content []mem.Block) []cme.MAC {
-	workers := len(c.shardEngines)
-	if workers <= 1 || len(content) < vaultShardMinBlocks {
-		return nil
-	}
-	leaves := make([]cme.MAC, len(content))
-	work := ShardVaultWork(c.lay, len(content), workers)
-	shard.Run(workers, func(w int) {
-		eng := c.shardEngines[w]
-		for _, slot := range work[w] {
-			leaves[slot] = eng.NodeMAC(1<<20, slot, content[slot])
-		}
-	})
-	return leaves
-}
-
 // ComputeVaultRoot builds the small eager integrity tree over the vault
 // blocks (8-ary, as Table I's "Merkle Tree over secure cache") and returns
 // its root MAC. onMAC is invoked once per MAC computation so callers can
 // charge engines/counters.
 func ComputeVaultRoot(eng *cme.Engine, blocks []mem.Block, onMAC func()) cme.MAC {
-	return computeVaultRootPre(eng, blocks, nil, onMAC)
-}
-
-// computeVaultRootPre is ComputeVaultRoot with optionally precomputed leaf
-// MACs (leaves[i] for block i, computed on the shard engines); onMAC is
-// still charged once per leaf so timing and counters never depend on the
-// shard count.
-func computeVaultRootPre(eng *cme.Engine, blocks []mem.Block, leaves []cme.MAC, onMAC func()) cme.MAC {
 	if len(blocks) == 0 {
 		return cme.MAC{}
 	}
@@ -274,11 +211,7 @@ func computeVaultRootPre(eng *cme.Engine, blocks []mem.Block, leaves []cme.MAC, 
 	level := make([]cme.MAC, len(blocks))
 	for i, b := range blocks {
 		onMAC()
-		if leaves != nil {
-			level[i] = leaves[i]
-		} else {
-			level[i] = eng.NodeMAC(1<<20, uint64(i), b)
-		}
+		level[i] = eng.NodeMAC(1<<20, uint64(i), b)
 	}
 	tag := uint64(1)
 	for len(level) > 1 {

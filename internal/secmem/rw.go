@@ -50,30 +50,16 @@ func (c *Controller) WriteBlock(now sim.Time, addr uint64, plain mem.Block) (sim
 		}
 	}
 
-	// Encrypt: the OTP depends on the (new) counter. A verified drain hint
-	// (drainhints.go) carries the same bytes precomputed on a shard engine;
-	// the engine issue slots are charged identically either way.
+	// Encrypt: the OTP depends on the (new) counter.
 	counter := cb.Counter(slot)
-	hint := c.takeDrainHint(addr, counter)
 	tAES := c.issueAES(t)
-	var ct mem.Block
-	if hint != nil {
-		ct = hint.CT
-	} else {
-		ct = c.eng.Encrypt(addr, counter, plain)
-	}
+	ct := c.eng.Encrypt(addr, counter, plain)
 
 	// Data MAC over (address, counter, ciphertext), stored in its MAC block.
 	macBlockAddr := c.lay.MACBlockAddr(addr)
 	macBlk, t2 := c.ensureMACBlock(t, macBlockAddr)
 	tMAC := c.issueMAC(sim.MaxTime(tAES, t2), MACData)
-	var m cme.MAC
-	if hint != nil {
-		m = hint.MAC
-	} else {
-		m = c.eng.DataMAC(addr, counter, ct)
-	}
-	setEntry(&macBlk, cme.MACSlot(addr), m)
+	setEntry(&macBlk, cme.MACSlot(addr), c.eng.DataMAC(addr, counter, ct))
 	c.markDirty(c.macCache, macBlockAddr, macBlk)
 
 	if c.cfg.OsirisStopLoss > 0 {

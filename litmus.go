@@ -560,12 +560,8 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 	if len(schemes) == 0 {
 		schemes = []Scheme{BaseLU, BaseEU, HorusSLM, HorusDLM}
 	}
-	cfg := lc.Config
-	sink := cfg.Metrics
-	tsSink := cfg.Timeseries
-	cfg.Metrics = nil // cells must not share a registry
-	cfg.Timeseries = nil
-	cfg.Timeline = nil
+	sink, tsSink := lc.Config.Metrics, lc.Config.Timeseries
+	cfg := detachSinks(lc.Config)
 	newWorkload := lc.NewWorkload
 	if newWorkload == nil {
 		newWorkload = defaultLitmusWorkload

@@ -218,11 +218,8 @@ func RunTortureMatrix(ctx context.Context, tc TortureConfig, opts SweepOptions) 
 	if len(flavors) == 0 {
 		flavors = AllCrashFlavors()
 	}
-	cfg := tc.Config
-	sink := cfg.Metrics
-	tsSink := cfg.Timeseries
-	cfg.Metrics = nil // cells must not share a registry
-	cfg.Timeseries = nil
+	sink, tsSink := tc.Config.Metrics, tc.Config.Timeseries
+	cfg := detachSinks(tc.Config)
 	newWorkload := tc.NewWorkload
 	if newWorkload == nil {
 		newWorkload = defaultTortureWorkload
