@@ -96,11 +96,13 @@ func classifyHorusOutcome(cs *core.System, ps PersistentState,
 }
 
 // classifyBaselineOutcome restores the metadata vault and then re-reads every
-// drained block through the secure read path. Each block must come back as
-// its golden bytes, fail verification with a typed error, or — only when the
-// drain was interrupted — come back as an older authentic value (the MACs
-// are real keyed functions in this simulator, so a verified non-golden
-// value is a stale authentic one, not forged bytes).
+// drained block through the secure read path, functionally (ProbeBlock): the
+// cell's time is recovery's alone, so the probe sweep books no simulated
+// time. Each block must come back as its golden bytes, fail verification
+// with a typed error, or — only when the drain was interrupted — come back
+// as an older authentic value (the MACs are real keyed functions in this
+// simulator, so a verified non-golden value is a stale authentic one, not
+// forged bytes).
 func classifyBaselineOutcome(cs *core.System, ps PersistentState,
 	golden map[uint64]mem.Block, blocks []DirtyBlock, interrupted bool) (CrashOutcome, string, *Forensic, sim.Time) {
 	cs.NVM.ResetStats()
@@ -114,7 +116,7 @@ func classifyBaselineOutcome(cs *core.System, ps PersistentState,
 	detected, stale := 0, 0
 	var first *Forensic
 	for i, b := range blocks {
-		got, _, err := cs.Sec.ReadBlock(0, b.Addr)
+		got, err := cs.Sec.ProbeBlock(b.Addr)
 		if err != nil {
 			if !recovery.IsDetection(err) {
 				return OutcomeInternalError, fmt.Sprintf("post-recovery read of %#x failed with untyped error: %v", b.Addr, err), nil, elapsed

@@ -70,6 +70,22 @@ type Controller struct {
 	fault     FaultInjector      // optional write-fault injection (torture harness)
 	recorder  WriteRecorder      // optional committed-write observer (litmus recorder)
 	tl        *timeline.Recorder // optional event-timeline recorder
+
+	functional bool // set only while Functionally runs its callback
+}
+
+// Functionally runs fn with the controller in functional mode, ended by
+// defer when fn returns or panics. Inside it, Read and Write book no time:
+// no bank or bus reservation, no access counter, and no metrics, time
+// series, timeline or observer call; both return their ready time. Write
+// still does everything that changes or sees committed content: the
+// block's wear count, the fault injector and the write recorder. The
+// secure controller's probe reads (secmem.Controller.ProbeBlock) run in
+// this mode.
+func (c *Controller) Functionally(fn func()) {
+	c.functional = true
+	defer func() { c.functional = false }()
+	fn()
 }
 
 // AddObserver appends an access observer. Observers are notified of every
@@ -234,7 +250,11 @@ func (c *Controller) Banks() int { return len(c.banks) }
 
 // Read performs a timed, counted read of the block at addr. The access
 // begins no earlier than ready; the returned time is when data is available.
+// Inside Functionally it is PeekRead.
 func (c *Controller) Read(ready sim.Time, addr uint64, cat Category) (Block, sim.Time) {
+	if c.functional {
+		return c.store.ReadBlock(addr), ready
+	}
 	c.reads.Add(string(cat), 1)
 	if c.tl != nil {
 		c.tl.SetOp("read", string(cat))
@@ -262,30 +282,35 @@ func (c *Controller) Read(ready sim.Time, addr uint64, cat Category) (Block, sim
 // issued access is still timed, counted and observed (the command went out on
 // the bus), but the content that lands on the medium is the injector's
 // faulted view — possibly torn, bit-flipped, or not committed at all.
+// Inside Functionally only the wear count and the commit remain.
 func (c *Controller) Write(ready sim.Time, addr uint64, b Block, cat Category) sim.Time {
-	c.writes.Add(string(cat), 1)
 	// One probe serves the whole access: the fused entry carries the wear
 	// count and the content slot. Nothing below inserts into the store (the
 	// observers and metrics only read), so the pointer stays valid.
 	e := c.store.entry(addr)
 	e.wear++
-	if c.tl != nil {
-		c.tl.SetOp("write", string(cat))
-	}
-	bank := c.bankOf(addr)
-	busStart, busDone := c.bus.Acquire(ready, c.cfg.BusSlot)
-	bankStart, done := c.banks[bank].Acquire(busDone, c.cfg.WriteLatency)
-	if c.m != nil {
-		c.m.counter(c.m.writeCtr, "horus_mem_writes_total", cat).Add(1)
-		c.m.busWait.Observe(float64(busStart - ready))
-		c.m.bankWait.Observe(float64(bankStart - busDone))
-		c.m.queueDepth.Observe(float64(bankStart-busDone) / float64(c.cfg.WriteLatency))
-	}
-	if c.ts != nil {
-		c.ts.depth[bank].Record(int64(bankStart), float64(bankStart-busDone)/float64(c.cfg.WriteLatency))
-	}
-	for _, o := range c.observers {
-		o.OnAccess("write", done, addr, string(cat))
+	done := ready
+	if !c.functional {
+		c.writes.Add(string(cat), 1)
+		if c.tl != nil {
+			c.tl.SetOp("write", string(cat))
+		}
+		bank := c.bankOf(addr)
+		busStart, busDone := c.bus.Acquire(ready, c.cfg.BusSlot)
+		var bankStart sim.Time
+		bankStart, done = c.banks[bank].Acquire(busDone, c.cfg.WriteLatency)
+		if c.m != nil {
+			c.m.counter(c.m.writeCtr, "horus_mem_writes_total", cat).Add(1)
+			c.m.busWait.Observe(float64(busStart - ready))
+			c.m.bankWait.Observe(float64(bankStart - busDone))
+			c.m.queueDepth.Observe(float64(bankStart-busDone) / float64(c.cfg.WriteLatency))
+		}
+		if c.ts != nil {
+			c.ts.depth[bank].Record(int64(bankStart), float64(bankStart-busDone)/float64(c.cfg.WriteLatency))
+		}
+		for _, o := range c.observers {
+			o.OnAccess("write", done, addr, string(cat))
+		}
 	}
 	if c.fault != nil {
 		if f := c.fault.OnWrite(addr, cat); f.Kind != FaultNone {

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -409,5 +410,37 @@ func TestErrorFormatting(t *testing.T) {
 	e := &Error{Slot: 3, Addr: 0x40, Detail: "boom"}
 	if e.Error() == "" {
 		t.Error("empty error string")
+	}
+}
+
+// TestIsDetectionTable pins IsDetection's classification across the shapes
+// a detection reaches the oracles in: direct, %w-wrapped, errors.Join-ed,
+// and untyped errors, which must never count as detections.
+func TestIsDetectionTable(t *testing.T) {
+	rec := &Error{Slot: 1, Detail: "chv"}
+	integ := &secmem.IntegrityError{Kind: secmem.KindTamper, Addr: 0x40, Detail: "mac"}
+	plain := errors.New("disk on fire")
+	cases := []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"nil", nil, false},
+		{"recovery error", rec, true},
+		{"integrity error", integ, true},
+		{"wrapped recovery error", fmt.Errorf("restore: %w", rec), true},
+		{"wrapped integrity error", fmt.Errorf("probe: %w", integ), true},
+		{"doubly wrapped", fmt.Errorf("a: %w", fmt.Errorf("b: %w", integ)), true},
+		{"joined with untyped", errors.Join(plain, integ), true},
+		{"joined recovery error", errors.Join(rec, plain), true},
+		{"untyped", plain, false},
+		{"wrapped untyped", fmt.Errorf("x: %w", plain), false},
+		{"joined untyped", errors.Join(plain, errors.New("other")), false},
+		{"formatted, not wrapped", fmt.Errorf("x: %v", integ), false},
+	}
+	for _, tc := range cases {
+		if got := IsDetection(tc.err); got != tc.want {
+			t.Errorf("%s: IsDetection(%v) = %v, want %v", tc.name, tc.err, got, tc.want)
+		}
 	}
 }

@@ -151,6 +151,11 @@ type Controller struct {
 
 	evictionDepth int
 
+	// functional is set only for the length of a ProbeBlock call: crypto
+	// issues and the level-fetch profile are skipped (the NVM is in its
+	// own functional mode for the call); every state change stays.
+	functional bool
+
 	m  *engineMetrics     // optional crypto-engine instrumentation
 	tl *timeline.Recorder // optional event-timeline recorder
 }
@@ -340,8 +345,12 @@ func (c *Controller) IssueMAC(ready sim.Time, category string) sim.Time {
 	return c.issueMAC(ready, category)
 }
 
-// issueMAC charges one MAC computation of the given category.
+// issueMAC charges one MAC computation of the given category. A probe
+// charges nothing.
 func (c *Controller) issueMAC(ready sim.Time, category string) sim.Time {
+	if c.functional {
+		return ready
+	}
 	c.macCalcs.Add(category, 1)
 	if c.tl != nil {
 		c.tl.SetOp("mac", category)
@@ -357,8 +366,11 @@ func (c *Controller) issueMAC(ready sim.Time, category string) sim.Time {
 	return c.mac.Issue(ready)
 }
 
-// issueAES charges one AES (OTP) computation.
+// issueAES charges one AES (OTP) computation. A probe charges nothing.
 func (c *Controller) issueAES(ready sim.Time) sim.Time {
+	if c.functional {
+		return ready
+	}
 	c.aesOps++
 	if c.tl != nil {
 		c.tl.SetOp("aes", "otp")

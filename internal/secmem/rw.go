@@ -108,6 +108,21 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) (mem.Block, sim.Time, 
 	return plain, sim.MaxTime(t, tAES), nil
 }
 
+// ProbeBlock is a functional ReadBlock: it runs the same read, verification
+// walk and cache fills, so every state change ReadBlock makes — cache fills
+// and evictions, dirty write-backs (with their wear, fault-injector and
+// write-recorder hooks), parent-entry updates — happens here too, and the
+// same typed IntegrityError comes back. What it skips is time: no bank, bus
+// or crypto-engine reservation, no access, MAC, AES or level-fetch counter,
+// and no metrics, time-series, timeline or observer call. The crash oracles
+// use it for their probe sweeps, whose simulated time nothing reads.
+func (c *Controller) ProbeBlock(addr uint64) (b mem.Block, err error) {
+	c.functional = true
+	defer func() { c.functional = false }()
+	c.nvm.Functionally(func() { b, _, err = c.ReadBlock(0, addr) })
+	return b, err
+}
+
 // reencryptRegion handles a minor-counter overflow: every block sharing the
 // major counter is read, decrypted with its old counter, re-encrypted with
 // its new counter, its MAC recomputed, and written back (§II-B). The

@@ -68,7 +68,9 @@ func (c *Controller) ensureNode(ready sim.Time, level int, index uint64) (mem.Bl
 	}
 	// Miss: fetch from NVM and verify against the parent, which is fetched
 	// (and verified) recursively until a cached ancestor or the root.
-	c.levelFetches.Add(levelLabel(level), 1)
+	if !c.functional {
+		c.levelFetches.Add(levelLabel(level), 1)
+	}
 	raw, t := c.nvm.Read(ready, addr, memCategoryFor(level))
 	pLevel, pIndex, slot := c.lay.Parent(level, index)
 	parent, t, err := c.ensureNode(t, pLevel, pIndex)

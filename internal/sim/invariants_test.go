@@ -213,3 +213,122 @@ func TestEngineCombinationalIssue(t *testing.T) {
 		t.Fatalf("combinational engine accumulated wait %v busy %v", e.WaitTime(), e.BusyTime())
 	}
 }
+
+// boundedModel is the reference for the production timeline, bounded gap
+// list included: the same earliest-fit placement, written for clarity with
+// none of reserve's shortcuts (no maxLen skip, no
+// binary search, no in-place splits). Its eviction rule is the contract:
+// a new gap that does not fit evicts the smallest listed gap, the lowest
+// start winning a tie between equal lengths, and is itself dropped when no
+// listed gap is strictly smaller.
+type boundedModel struct {
+	gaps []gap // sorted by start
+	tail Time
+
+	evictions, ties, drops int // how often each eviction case fired
+}
+
+func (m *boundedModel) reserve(ready, dur Time) Time {
+	for i, g := range m.gaps {
+		s := MaxTime(g.start, ready)
+		if s+dur > g.end {
+			continue
+		}
+		m.gaps = append(m.gaps[:i:i], m.gaps[i+1:]...)
+		m.add(gap{g.start, s})
+		m.add(gap{s + dur, g.end})
+		return s
+	}
+	s := MaxTime(ready, m.tail)
+	m.add(gap{m.tail, s})
+	m.tail = s + dur
+	return s
+}
+
+func (m *boundedModel) add(g gap) {
+	if g.end <= g.start {
+		return
+	}
+	length := func(g gap) Time { return g.end - g.start }
+	if len(m.gaps) == maxGaps {
+		victim := 0
+		for i, h := range m.gaps {
+			v := m.gaps[victim]
+			if length(h) < length(v) || (length(h) == length(v) && h.start < v.start) {
+				victim = i
+			}
+		}
+		if length(m.gaps[victim]) >= length(g) {
+			m.drops++
+			return
+		}
+		m.evictions++
+		for i, h := range m.gaps {
+			if i != victim && length(h) == length(m.gaps[victim]) {
+				m.ties++
+				break
+			}
+		}
+		m.gaps = append(m.gaps[:victim:victim], m.gaps[victim+1:]...)
+	}
+	m.gaps = append(m.gaps, g)
+	sort.Slice(m.gaps, func(i, j int) bool { return m.gaps[i].start < m.gaps[j].start })
+}
+
+// checkAgainstModel reserves on both, fails on the first divergence in
+// start time, tail or gap list, and returns the start.
+func checkAgainstModel(t *testing.T, tl *timeline, m *boundedModel, op int, ready, dur Time) Time {
+	t.Helper()
+	got, want := tl.reserve(ready, dur), m.reserve(ready, dur)
+	if got != want {
+		t.Fatalf("op %d: reserve(ready=%v, dur=%v) = %v, bounded model says %v", op, ready, dur, got, want)
+	}
+	if tl.tail != m.tail || len(tl.gaps) != len(m.gaps) {
+		t.Fatalf("op %d: tail %v / %d gaps, bounded model has tail %v / %d gaps", op, tl.tail, len(tl.gaps), m.tail, len(m.gaps))
+	}
+	for i := range tl.gaps {
+		if tl.gaps[i] != m.gaps[i] {
+			t.Fatalf("op %d: gap %d is %v, bounded model has %v", op, i, tl.gaps[i], m.gaps[i])
+		}
+	}
+	return got
+}
+
+// TestTimelineBoundedEvictionModel drives reserve through long sequences
+// that keep the gap list full and checks every step against boundedModel:
+// placement, tail and the exact gap list, so every eviction choice —
+// including which of two equal gaps goes — is pinned. Times sit on a
+// coarse grid so equal-length gaps, and therefore ties, are common.
+func TestTimelineBoundedEvictionModel(t *testing.T) {
+	const ops = 25000
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tl timeline
+		var m boundedModel
+		full := 0
+		for op := 0; op < ops; op++ {
+			dur := Time(1+rng.Intn(3)) * 10
+			var ready Time
+			if rng.Intn(3) == 0 {
+				// Early: lands in one of the listed gaps or behind them.
+				ready = m.tail - Time(rng.Intn(400))*10
+				if ready < 0 {
+					ready = 0
+				}
+			} else {
+				// Late: opens a new gap after the tail.
+				ready = m.tail + Time(1+rng.Intn(8))*10
+			}
+			checkAgainstModel(t, &tl, &m, op, ready, dur)
+			if len(tl.gaps) == maxGaps {
+				full++
+			}
+		}
+		if full < ops*9/10 || m.ties == 0 || m.drops == 0 || m.evictions == 0 {
+			t.Fatalf("seed %d: weak sequence: list full on %d/%d ops, %d evictions (%d ties), %d drops",
+				seed, full, ops, m.evictions, m.ties, m.drops)
+		}
+		t.Logf("seed %d: list full on %d/%d ops, %d evictions (%d with a tie), %d dropped new gaps",
+			seed, full, ops, m.evictions, m.ties, m.drops)
+	}
+}

@@ -455,7 +455,7 @@ func (ep *litmusEpisode) referenceProbe(cfg Config, addrs []uint64) (map[uint64]
 	}
 	ref := make(map[uint64]mem.Block, len(addrs))
 	for _, a := range addrs {
-		b, _, err := sys.Sec.ReadBlock(0, a)
+		b, err := sys.Sec.ProbeBlock(a)
 		if err != nil {
 			return nil, fmt.Errorf("horus: reference probe of %#x on %v: %w", a, ep.scheme, err)
 		}
@@ -527,7 +527,7 @@ func (ep *litmusEpisode) coverageTrial(cfg Config, model CorruptionModel, victim
 	detected := ""
 	var forensic *Forensic
 	for i, a := range addrs {
-		b, _, err := sys.Sec.ReadBlock(0, a)
+		b, err := sys.Sec.ProbeBlock(a)
 		if err != nil {
 			if !recovery.IsDetection(err) {
 				return "internal", fmt.Sprintf("probe of %#x: %v", a, err), nil
