@@ -1,0 +1,90 @@
+package horus
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// countMallocs returns the number of heap objects allocated while fn runs.
+func countMallocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// allocBudgetSink keeps the crypto loop's MACs live.
+var allocBudgetSink byte
+
+// TestHotPathAllocBudgets is the allocation gate over the hot-path episodes:
+// a drain per scheme, the 4k secure-write loop, the 8k encrypt+MAC loop and
+// a thinned torture matrix, all at TestConfig with Shards 1. Object counts
+// are deterministic up to a few objects of runtime noise and do not depend
+// on the host, so the ceilings are tight where wall time could not be.
+//
+// Each ceiling is the count measured with go1.24 on linux/amd64 plus 10%,
+// rounded down. Measured without -race / with -race: drains 39/39
+// (NonSecure), 95/95 (Base-LU), 90/90 (Base-EU), 63/64 (Horus-SLM), 73/71
+// (Horus-DLM); secure writes 66/66; encrypt+MAC 0/0; torture smoke
+// ~35,050/~36,900. A change that raises a count past its ceiling must
+// either remove the allocations or re-measure and say why.
+func TestHotPathAllocBudgets(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Shards = 1
+	drains := map[Scheme]uint64{NonSecure: 42, BaseLU: 104, BaseEU: 99, HorusSLM: 69, HorusDLM: 80}
+	type episode struct {
+		name    string
+		ceiling uint64
+		run     func() uint64
+	}
+	var eps []episode
+	for _, s := range AllSchemes() {
+		s := s
+		eps = append(eps, episode{fmt.Sprintf("drain/%v", s), drains[s],
+			func() uint64 { return drainMallocs(t, s, 1) }})
+	}
+	eps = append(eps,
+		episode{"secure-write-4k", 72, func() uint64 {
+			sys := NewSystem(cfg, BaseLU)
+			return countMallocs(func() {
+				for i := 0; i < 4096; i++ {
+					addr := (uint64(i) * 4096) % cfg.DataSize
+					if _, err := sys.Core.Sec.WriteBlock(0, addr, [64]byte{0: byte(i)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}},
+		episode{"encrypt-mac-8k", 0, func() uint64 {
+			eng := NewSystem(cfg, HorusSLM).Core.Enc
+			return countMallocs(func() {
+				for i := 0; i < 8192; i++ {
+					addr := uint64(i) * 64
+					ct := eng.Encrypt(addr, uint64(i), [64]byte{0: byte(i)})
+					mac := eng.DataMAC(addr, uint64(i), ct)
+					allocBudgetSink ^= mac[0]
+				}
+			})
+		}},
+		episode{"torture-smoke", 38_550, func() uint64 {
+			return countMallocs(func() {
+				rep, err := RunTortureMatrix(context.Background(),
+					TortureConfig{Config: cfg, Stride: 5, MaxPoints: 8}, SweepOptions{Parallel: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Ok() {
+					t.Fatalf("torture smoke has %d failing cells", len(rep.Failures()))
+				}
+			})
+		}},
+	)
+	for _, ep := range eps {
+		if got := ep.run(); got > ep.ceiling {
+			t.Errorf("%s allocates %d objects, budget %d", ep.name, got, ep.ceiling)
+		}
+	}
+}

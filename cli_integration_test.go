@@ -229,4 +229,17 @@ func TestCLIs(t *testing.T) {
 			}
 		}
 	})
+
+	// -metrics needs no -validate: the snapshot is written (empty, as the
+	// closed-form plan records nothing) and its line printed either way.
+	t.Run("plan-metrics", func(t *testing.T) {
+		prom := filepath.Join(t.TempDir(), "m.prom")
+		out := run(t, bins["horus-plan"], "-llc", "64", "-metrics", prom)
+		if !strings.Contains(out, "metrics: prom snapshot to "+prom) {
+			t.Errorf("plan output missing the metrics line:\n%s", out)
+		}
+		if _, err := os.Stat(prom); err != nil {
+			t.Errorf("plan -metrics wrote no file: %v", err)
+		}
+	})
 }

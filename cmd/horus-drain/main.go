@@ -38,147 +38,125 @@ func main() {
 		traceEnergy = flag.Bool("trace-energy", false, "print a sparkline of the energy drawdown over the drain (records time series)")
 	)
 	bf := cliutil.AddBatteryFlags("", "drain")
-	mf := cliutil.AddMetricsFlags()
 	tf := cliutil.AddTraceFlags()
-	pf := cliutil.AddProfileFlags()
-	tfl := cliutil.AddTelemetryFlags(false)
-	shards := cliutil.AddShardsFlag()
-	flag.Parse()
-	if err := pf.Start(); err != nil {
-		fatal(err)
-	}
-	defer pf.Stop()
-
-	cfg, err := cliutil.ParseScale(*scaleFlag)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Seed = *seed
-	cfg.FlushShuffle = *shuffle
-	cfg.Shards = *shards
-	if *llcMB > 0 {
-		cfg.LLCBytes = *llcMB << 20
-	}
-	scheme, err := cliutil.ParseScheme(*schemeFlag)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
-	cfg.Timeline = tf.Recorder()
-
-	budgetJ, err := bf.BudgetJoules()
-	if err != nil {
-		fatal(err)
-	}
-	cfg.BatteryJoules = budgetJ
-	cfg.Timeseries = tfl.Sampler()
-	if cfg.Timeseries == nil && (*traceEnergy || budgetJ > 0) {
-		// Energy tracing and the drain SLOs both need the recorded series
-		// even when neither -ts nor -serve asked for an export.
-		cfg.Timeseries = horus.NewTimeseriesSampler(tfl.WindowNs*1000, tfl.Capacity)
-	}
-	if err := tfl.StartServer(cfg.Metrics); err != nil {
-		fatal(err)
-	}
-
-	sys := horus.NewSystem(cfg, scheme)
-	var rec *trace.Recorder
-	if *traceFile != "" {
-		rec = trace.NewRecorder(*traceLimit)
-		sys.Core.NVM.AddObserver(rec)
-	}
-	if err := sys.Warmup(); err != nil {
-		fatal(err)
-	}
-	sys.Fill()
-	if rec != nil {
-		rec.Reset() // trace the drain only, not the warm-up
-	}
-	res, err := sys.Drain()
-	if err != nil {
-		fatal(err)
-	}
-	printResult(cfg, res, *verbose)
-	if tf.Enabled() {
-		tlRec := cfg.Timeline.Recording()
-		if tf.Attrib {
-			att := horus.AnalyzeTimeline(tlRec)
-			att.Publish(cfg.Metrics, "scheme", res.Scheme.String())
-			fmt.Println()
-			report.AttributionTable(att).Fprint(os.Stdout)
-			fmt.Println()
-			report.Gantt(tlRec).Fprint(os.Stdout)
+	cliutil.Main("horus-drain", false, func(env *cliutil.Env) (int, error) {
+		base, err := cliutil.ParseScale(*scaleFlag)
+		if err != nil {
+			return cliutil.ExitFail, err
 		}
-		if tf.Path != "" {
-			if err := tf.WriteTrace(tlRec); err != nil {
-				fatal(err)
+		base.Seed = *seed
+		base.FlushShuffle = *shuffle
+		if *llcMB > 0 {
+			base.LLCBytes = *llcMB << 20
+		}
+		scheme, err := cliutil.ParseScheme(*schemeFlag)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		budgetJ, err := bf.BudgetJoules()
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		base.BatteryJoules = budgetJ
+		cfg, err := env.Config(base)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		cfg.Timeline = tf.Recorder()
+		if *traceEnergy || budgetJ > 0 {
+			// Energy tracing and the drain SLOs both need the recorded series
+			// even when neither -ts nor -serve asked for an export.
+			env.RequireTimeseries(&cfg)
+		}
+
+		sys := horus.NewSystem(cfg, scheme)
+		var rec *trace.Recorder
+		if *traceFile != "" {
+			rec = trace.NewRecorder(*traceLimit)
+			sys.Core.NVM.AddObserver(rec)
+		}
+		if err := sys.Warmup(); err != nil {
+			return cliutil.ExitFail, err
+		}
+		sys.Fill()
+		if rec != nil {
+			rec.Reset() // trace the drain only, not the warm-up
+		}
+		res, err := sys.Drain()
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		printResult(cfg, res, *verbose)
+		if tf.Enabled() {
+			tlRec := cfg.Timeline.Recording()
+			if tf.Attrib {
+				att := horus.AnalyzeTimeline(tlRec)
+				att.Publish(cfg.Metrics, "scheme", res.Scheme.String())
+				fmt.Println()
+				report.AttributionTable(att).Fprint(os.Stdout)
+				fmt.Println()
+				report.Gantt(tlRec).Fprint(os.Stdout)
 			}
-			fmt.Printf("timeline:       %d events to %s (%d dropped)\n",
-				len(tlRec.Events), tf.Path, tlRec.Dropped)
+			if tf.Path != "" {
+				if err := tf.WriteTrace(tlRec); err != nil {
+					return cliutil.ExitFail, err
+				}
+				fmt.Printf("timeline:       %d events to %s (%d dropped)\n",
+					len(tlRec.Events), tf.Path, tlRec.Dropped)
+			}
 		}
-	}
-	if mf.Enabled() {
-		fmt.Println()
-		report.SpanTree(cfg.Metrics).Fprint(os.Stdout)
-		if err := mf.Write(cfg.Metrics); err != nil {
-			fatal(err)
+		env.PrintSpans()
+		if err := env.WriteMetrics("metrics:       "); err != nil {
+			return cliutil.ExitFail, err
 		}
-		fmt.Printf("metrics:        %s snapshot to %s\n", mf.Format, mf.Path)
-	}
-	if rec != nil {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fatal(err)
+		if rec != nil {
+			if err := cliutil.WriteFile(*traceFile, rec.WriteCSV); err != nil {
+				return cliutil.ExitFail, err
+			}
+			fmt.Printf("trace:          %d events to %s (%d dropped)\n", rec.Len(), *traceFile, rec.Dropped())
 		}
-		if err := rec.WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace:          %d events to %s (%d dropped)\n", rec.Len(), *traceFile, rec.Dropped())
-	}
 
-	if *compareFlag && scheme != horus.NonSecure {
-		nsCfg := cfg
-		nsCfg.Timeseries = nil // reference run: keep the episode's series clean
-		ns, err := horus.RunDrain(nsCfg, horus.NonSecure)
-		if err != nil {
-			fatal(err)
+		if *compareFlag && scheme != horus.NonSecure {
+			nsCfg := cfg
+			nsCfg.Timeseries = nil // reference run: keep the episode's series clean
+			ns, err := horus.RunDrain(nsCfg, horus.NonSecure)
+			if err != nil {
+				return cliutil.ExitFail, err
+			}
+			fmt.Printf("vs non-secure: %.2fx memory accesses, %.2fx draining time\n",
+				float64(res.TotalMemAccesses())/float64(ns.TotalMemAccesses()),
+				float64(res.DrainTime)/float64(ns.DrainTime))
 		}
-		fmt.Printf("vs non-secure: %.2fx memory accesses, %.2fx draining time\n",
-			float64(res.TotalMemAccesses())/float64(ns.TotalMemAccesses()),
-			float64(res.DrainTime)/float64(ns.DrainTime))
-	}
 
-	sloOK := true
-	if cfg.Timeseries != nil {
-		snap := cfg.Timeseries.Snapshot()
-		if *traceEnergy {
-			fmt.Println()
-			for _, s := range snap.Find("horus_ts_energy_j") {
-				fmt.Println(report.SparklineChart("energy drawdown", s.Values(), 60, report.Joules))
+		sloOK := true
+		if cfg.Timeseries != nil {
+			snap := cfg.Timeseries.Snapshot()
+			if *traceEnergy {
+				fmt.Println()
+				for _, s := range snap.Find("horus_ts_energy_j") {
+					fmt.Println(report.SparklineChart("energy drawdown", s.Values(), 60, report.Joules))
+				}
+				if budgetJ > 0 {
+					fmt.Printf("battery budget: %s (drain deadline %v)\n",
+						report.Joules(budgetJ), energy.DrainDeadline(cfg.Energy, budgetJ))
+				}
 			}
 			if budgetJ > 0 {
-				fmt.Printf("battery budget: %s (drain deadline %v)\n",
-					report.Joules(budgetJ), energy.DrainDeadline(cfg.Energy, budgetJ))
+				rep := horus.EvaluateSLO(horus.DrainSLORules(cfg, budgetJ), snap)
+				fmt.Println()
+				rep.Table().Fprint(os.Stdout)
+				sloOK = rep.Ok()
 			}
 		}
-		if budgetJ > 0 {
-			rep := horus.EvaluateSLO(horus.DrainSLORules(cfg, budgetJ), snap)
-			fmt.Println()
-			rep.Table().Fprint(os.Stdout)
-			sloOK = rep.Ok()
+		if err := env.Finish(); err != nil {
+			return cliutil.ExitFail, err
 		}
-	}
-	if err := tfl.WriteTimeseries(); err != nil {
-		fatal(err)
-	}
-	tfl.Shutdown()
-	if !sloOK {
-		fmt.Fprintln(os.Stderr, "horus-drain: drain SLO violated")
-		os.Exit(2)
-	}
+		if !sloOK {
+			fmt.Fprintln(os.Stderr, "horus-drain: drain SLO violated")
+			return cliutil.ExitSLO, nil
+		}
+		return cliutil.ExitOK, nil
+	})
 }
 
 func printResult(cfg horus.Config, res horus.Result, verbose bool) {
@@ -200,9 +178,4 @@ func printResult(cfg horus.Config, res horus.Result, verbose bool) {
 		fmt.Printf("read breakdown:  %v\n", res.MemReads)
 		fmt.Printf("MAC breakdown:   %v\n", res.MACCalcs)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "horus-drain:", err)
-	os.Exit(1)
 }

@@ -11,11 +11,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
 
@@ -33,186 +31,171 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "episode workers per sweep (0 = GOMAXPROCS); results are identical at any setting")
 		timeout   = flag.Duration("timeout", 0, "abort sweeps that run longer than this (0 = no limit)")
 	)
-	mf := cliutil.AddMetricsFlags()
 	tf := cliutil.AddTraceFlags()
-	pf := cliutil.AddProfileFlags()
-	tfl := cliutil.AddTelemetryFlags(true)
-	shards := cliutil.AddShardsFlag()
-	flag.Parse()
-	emitCSVTo = *csvDir
-	if err := pf.Start(); err != nil {
-		fatal(err)
-	}
-	defer pf.Stop()
+	cliutil.Main("horus-experiments", true, func(env *cliutil.Env) (int, error) {
+		ctx := env.Context()
+		base, err := cliutil.ParseScale(*scaleFlag)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		testScale := strings.EqualFold(*scaleFlag, "test")
+		base.Seed = *seed
+		cfg, err := env.Config(base)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		cfg.Timeline = tf.Recorder()
+		opts := horus.SweepOptions{Parallel: *parallel, Timeout: *timeout, Progress: env.Telemetry.ProgressFunc()}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+		// emit prints tables and mirrors each as CSV under -csv.
+		emit := func(tabs ...*report.Table) error {
+			for _, t := range tabs {
+				t.Fprint(os.Stdout)
+				if *csvDir == "" {
+					continue
+				}
+				if err := cliutil.WriteFile(filepath.Join(*csvDir, slug(t.Title)+".csv"), t.WriteCSV); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		want := strings.Split(*expFlag, ",")
+		has := func(name string) bool {
+			for _, w := range want {
+				if w == name || w == "all" {
+					return true
+				}
+			}
+			return false
+		}
 
-	var cfg horus.Config
-	switch *scaleFlag {
-	case "paper":
-		cfg = horus.DefaultConfig()
-	case "test":
-		cfg = horus.TestConfig()
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scaleFlag))
-	}
-	cfg.Seed = *seed
-	cfg.Shards = *shards
-	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
-	cfg.Timeline = tf.Recorder()
-	cfg.Timeseries = tfl.Sampler()
-	if err := tfl.StartServer(cfg.Metrics); err != nil {
-		fatal(err)
-	}
-	opts := horus.SweepOptions{Parallel: *parallel, Timeout: *timeout, Progress: tfl.ProgressFunc()}
-
-	want := strings.Split(*expFlag, ",")
-	has := func(name string) bool {
-		for _, w := range want {
-			if w == name || w == "all" {
-				return true
+		// Figs. 6, 11, 12, 13 and Tables II/III share one drain per scheme; the
+		// timeline trace and attribution ride on the same set.
+		needSet := has("fig6") || has("fig11") || has("fig12") || has("fig13") ||
+			has("table2") || has("table3") || has("headline") || tf.Enabled()
+		var set *horus.DrainSet
+		if needSet {
+			set, err = horus.RunDrainSetCtx(ctx, cfg, horus.AllSchemes(), opts)
+			if err != nil {
+				return cliutil.ExitFail, err
 			}
 		}
-		return false
-	}
-
-	// Figs. 6, 11, 12, 13 and Tables II/III share one drain per scheme; the
-	// timeline trace and attribution ride on the same set.
-	needSet := has("fig6") || has("fig11") || has("fig12") || has("fig13") ||
-		has("table2") || has("table3") || has("headline") || tf.Enabled()
-	var set *horus.DrainSet
-	if needSet {
-		var err error
-		set, err = horus.RunDrainSetCtx(ctx, cfg, horus.AllSchemes(), opts)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if tf.Enabled() {
-		var recs []*horus.TimelineRecording
-		var atts []horus.TimelineAttribution
-		for _, s := range set.Schemes {
-			if rec := set.Timelines[s]; rec != nil {
-				recs = append(recs, rec)
-				atts = append(atts, horus.AnalyzeTimeline(rec))
+		if tf.Enabled() {
+			var recs []*horus.TimelineRecording
+			var atts []horus.TimelineAttribution
+			for _, s := range set.Schemes {
+				if rec := set.Timelines[s]; rec != nil {
+					recs = append(recs, rec)
+					atts = append(atts, horus.AnalyzeTimeline(rec))
+				}
+			}
+			if tf.Attrib {
+				if err := emit(report.AttributionTable(atts...)); err != nil {
+					return cliutil.ExitFail, err
+				}
+			}
+			if tf.Path != "" {
+				if err := tf.WriteTrace(recs...); err != nil {
+					return cliutil.ExitFail, err
+				}
+				fmt.Printf("timeline: %d episodes to %s\n", len(recs), tf.Path)
 			}
 		}
-		if tf.Attrib {
-			emit(report.AttributionTable(atts...))
+
+		var figs []*report.Table
+		if has("fig6") {
+			f := horus.Fig6{Blocks: set.Results[horus.NonSecure].BlocksDrained, Set: subset(set, horus.Fig6Schemes())}
+			figs = append(figs, f.Table())
 		}
-		if tf.Path != "" {
-			if err := tf.WriteTrace(recs...); err != nil {
-				fatal(err)
+		if has("fig11") {
+			figs = append(figs, horus.Fig11{Set: set}.Table())
+		}
+		if has("fig12") {
+			figs = append(figs, horus.Fig12{Set: set}.Table())
+		}
+		if has("fig13") {
+			figs = append(figs, horus.Fig13{Set: set}.Table())
+		}
+		if err := emit(figs...); err != nil {
+			return cliutil.ExitFail, err
+		}
+		if has("fig14") || has("fig15") {
+			sizes := horus.Fig14LLCSizes()
+			if testScale {
+				sizes = []int{4 << 20, 8 << 20}
 			}
-			fmt.Printf("timeline: %d episodes to %s\n", len(recs), tf.Path)
+			sw, err := horus.RunLLCSweepCtx(ctx, cfg, sizes, horus.AllSchemes(), opts)
+			if err != nil {
+				return cliutil.ExitFail, err
+			}
+			var tabs []*report.Table
+			if has("fig14") {
+				tabs = append(tabs, sw.Fig14Table())
+			}
+			if has("fig15") {
+				tabs = append(tabs, sw.Fig15Table())
+			}
+			if err := emit(tabs...); err != nil {
+				return cliutil.ExitFail, err
+			}
 		}
-	}
-
-	if has("fig6") {
-		f := horus.Fig6{Blocks: set.Results[horus.NonSecure].BlocksDrained, Set: subset(set, horus.Fig6Schemes())}
-		emit(f.Table())
-	}
-	if has("fig11") {
-		emit(horus.Fig11{Set: set}.Table())
-	}
-	if has("fig12") {
-		emit(horus.Fig12{Set: set}.Table())
-	}
-	if has("fig13") {
-		emit(horus.Fig13{Set: set}.Table())
-	}
-	if has("fig14") || has("fig15") {
-		sizes := horus.Fig14LLCSizes()
-		if *scaleFlag == "test" {
-			sizes = []int{4 << 20, 8 << 20}
+		if has("fig16") {
+			sizes := horus.Fig16LLCSizes()
+			if testScale {
+				sizes = []int{4 << 20, 8 << 20}
+			}
+			f16, err := horus.RunFig16Ctx(ctx, cfg, sizes, opts)
+			if err != nil {
+				return cliutil.ExitFail, err
+			}
+			if err := emit(f16.Table()); err != nil {
+				return cliutil.ExitFail, err
+			}
 		}
-		sw, err := horus.RunLLCSweepCtx(ctx, cfg, sizes, horus.AllSchemes(), opts)
-		if err != nil {
-			fatal(err)
+		if has("table2") || has("table3") {
+			t2 := horus.Table2{Set: subset(set, horus.Table2Schemes()), Breakdown: map[horus.Scheme]horus.EnergyBreakdown{}}
+			for _, s := range horus.Table2Schemes() {
+				t2.Breakdown[s] = cfg.EnergyOf(set.Results[s])
+			}
+			var tabs []*report.Table
+			if has("table2") {
+				tabs = append(tabs, t2.Table())
+			}
+			if has("table3") {
+				tabs = append(tabs, horus.Table3{T2: t2}.Table())
+			}
+			if err := emit(tabs...); err != nil {
+				return cliutil.ExitFail, err
+			}
 		}
-		if has("fig14") {
-			emit(sw.Fig14Table())
+		if has("ablations") {
+			a, err := horus.RunAblationsCtx(ctx, cfg, opts)
+			if err != nil {
+				return cliutil.ExitFail, err
+			}
+			if err := emit(a.FillPattern, a.DataSize, a.TreeProfile, a.Recovery); err != nil {
+				return cliutil.ExitFail, err
+			}
 		}
-		if has("fig15") {
-			emit(sw.Fig15Table())
+		var tail []*report.Table
+		if has("headline") {
+			lu, slm := set.Results[horus.BaseLU], set.Results[horus.HorusSLM]
+			h := horus.Headline{
+				MemReduction:  float64(lu.TotalMemAccesses()) / float64(slm.TotalMemAccesses()),
+				MACReduction:  float64(lu.TotalMACs()) / float64(slm.TotalMACs()),
+				TimeReduction: float64(lu.DrainTime) / float64(slm.DrainTime),
+			}
+			tail = append(tail, h.Table())
 		}
-	}
-	if has("fig16") {
-		sizes := horus.Fig16LLCSizes()
-		if *scaleFlag == "test" {
-			sizes = []int{4 << 20, 8 << 20}
+		if env.Metrics.Enabled() {
+			tail = append(tail, report.SpanTree(cfg.Metrics))
 		}
-		f16, err := horus.RunFig16Ctx(ctx, cfg, sizes, opts)
-		if err != nil {
-			fatal(err)
+		if err := emit(tail...); err != nil {
+			return cliutil.ExitFail, err
 		}
-		emit(f16.Table())
-	}
-	if has("table2") || has("table3") {
-		t2 := horus.Table2{Set: subset(set, horus.Table2Schemes()), Breakdown: map[horus.Scheme]horus.EnergyBreakdown{}}
-		for _, s := range horus.Table2Schemes() {
-			t2.Breakdown[s] = cfg.EnergyOf(set.Results[s])
-		}
-		if has("table2") {
-			emit(t2.Table())
-		}
-		if has("table3") {
-			emit(horus.Table3{T2: t2}.Table())
-		}
-	}
-	if has("ablations") {
-		a, err := horus.RunAblationsCtx(ctx, cfg, opts)
-		if err != nil {
-			fatal(err)
-		}
-		emit(a.FillPattern)
-		emit(a.DataSize)
-		emit(a.TreeProfile)
-		emit(a.Recovery)
-	}
-	if has("headline") {
-		lu, slm := set.Results[horus.BaseLU], set.Results[horus.HorusSLM]
-		h := horus.Headline{
-			MemReduction:  float64(lu.TotalMemAccesses()) / float64(slm.TotalMemAccesses()),
-			MACReduction:  float64(lu.TotalMACs()) / float64(slm.TotalMACs()),
-			TimeReduction: float64(lu.DrainTime) / float64(slm.DrainTime),
-		}
-		emit(h.Table())
-	}
-	if mf.Enabled() {
-		emit(report.SpanTree(cfg.Metrics))
-		if err := mf.Write(cfg.Metrics); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics: %s snapshot to %s\n", mf.Format, mf.Path)
-	}
-	if err := tfl.WriteTimeseries(); err != nil {
-		fatal(err)
-	}
-	tfl.Shutdown()
-}
-
-// emitCSVTo, when non-empty, is the directory tables are mirrored into.
-var emitCSVTo string
-
-// emit prints a table and optionally mirrors it as CSV.
-func emit(t *report.Table) {
-	t.Fprint(os.Stdout)
-	if emitCSVTo == "" {
-		return
-	}
-	name := slug(t.Title) + ".csv"
-	f, err := os.Create(filepath.Join(emitCSVTo, name))
-	if err != nil {
-		fatal(err)
-	}
-	if err := t.WriteCSV(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+		return cliutil.ExitOK, nil
+	})
 }
 
 // slug turns a table title into a file name.
@@ -236,9 +219,4 @@ func subset(set *horus.DrainSet, schemes []horus.Scheme) *horus.DrainSet {
 		out.Results[s] = set.Results[s]
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "horus-experiments:", err)
-	os.Exit(1)
 }

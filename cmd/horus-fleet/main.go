@@ -16,18 +16,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
 	horus "repro"
 	"repro/internal/cliutil"
 	"repro/internal/cluster"
-	"repro/internal/core"
 )
 
 func main() {
@@ -61,164 +58,132 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "abort the fleet run after this long (0 = no limit)")
 	)
 	bf := cliutil.AddBatteryFlags("rack-", "rack")
-	mf := cliutil.AddMetricsFlags()
-	pf := cliutil.AddProfileFlags()
-	tfl := cliutil.AddTelemetryFlags(true)
-	shards := cliutil.AddShardsFlag()
-	flag.Parse()
-	if err := pf.Start(); err != nil {
-		fatal(err)
-	}
-	defer pf.Stop()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	cfg, err := cliutil.ParseScale(*scaleFlag)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Seed = *seed
-	cfg.Shards = *shards
-	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
-	cfg.Timeseries = tfl.Sampler()
-	if cfg.Timeseries == nil {
+	cliutil.Main("horus-fleet", true, func(env *cliutil.Env) (int, error) {
+		ctx := env.Context()
+		base, err := cliutil.ParseScale(*scaleFlag)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		base.Seed = *seed
+		cfg, err := env.Config(base)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
 		// The fleet-no-silent SLO always runs; it needs the recorded verdict
 		// series even without -ts or -serve.
-		cfg.Timeseries = horus.NewTimeseriesSampler(tfl.WindowNs*1000, tfl.Capacity)
-	}
-	if err := tfl.StartServer(cfg.Metrics); err != nil {
-		fatal(err)
-	}
+		env.RequireTimeseries(&cfg)
 
-	gen := cluster.GenerateOptions{Machines: *machines, Racks: *racks, Seed: *seed}
-	if *schemes != "" {
-		for _, name := range strings.Split(*schemes, ",") {
-			s, err := cliutil.ParseScheme(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			gen.Schemes = append(gen.Schemes, core.Scheme(s))
+		gen := cluster.GenerateOptions{Machines: *machines, Racks: *racks, Seed: *seed}
+		if gen.Schemes, err = cliutil.ParseSchemes(*schemes); err != nil {
+			return cliutil.ExitFail, err
 		}
-	}
-	if *workloads != "" {
-		known := strings.Join(horus.FleetWorkloadNames(), "|")
-		for _, name := range strings.Split(*workloads, ",") {
-			name = strings.TrimSpace(name)
-			if !knownWorkload(name) {
-				fatal(fmt.Errorf("unknown workload %q (want %s)", name, known))
+		if *workloads != "" {
+			known := strings.Join(horus.FleetWorkloadNames(), "|")
+			for _, name := range strings.Split(*workloads, ",") {
+				name = strings.TrimSpace(name)
+				if !knownWorkload(name) {
+					return cliutil.ExitFail, fmt.Errorf("unknown workload %q (want %s)", name, known)
+				}
+				gen.Workloads = append(gen.Workloads, name)
 			}
-			gen.Workloads = append(gen.Workloads, name)
 		}
-	}
-	fleet, err := cluster.Generate(gen)
-	if err != nil {
-		fatal(err)
-	}
-	sched, err := cluster.ParseSchedule(*outages, fleet.Racks)
-	if err != nil {
-		fatal(err)
-	}
-	pol, err := cluster.ParsePolicy(*router)
-	if err != nil {
-		fatal(err)
-	}
-	rackJ, err := bf.BudgetJoules()
-	if err != nil {
-		fatal(err)
-	}
-
-	fc := horus.FleetConfig{
-		Fleet:         fleet,
-		Base:          cfg,
-		Sessions:      *sessions,
-		OpsPerSession: *opsPer,
-		BaseOps:       *baseOps,
-		HorizonPs:     horizon.Nanoseconds() * 1000,
-		Router:        pol,
-		Failover:      *failover,
-		Schedule:      sched,
-		Loop: cluster.LoopConfig{
-			RackPowerW:    *rackPower,
-			RackBatteryJ:  rackJ,
-			RecoverySlots: *slots,
-		},
-		BatteryTech: *tech,
-	}
-	rep, err := horus.RunFleet(ctx, fc, horus.SweepOptions{
-		Parallel: *parallel, Timeout: *timeout, Progress: tfl.ProgressFunc(),
-	})
-	if err != nil {
-		fatal(err)
-	}
-
-	cluster.SummaryTable(fleet, fc.Loop, rep.Metrics, rep.Routes).Fprint(os.Stdout)
-	fmt.Println()
-	cluster.StormTable(rep.Result).Fprint(os.Stdout)
-	if *machTable {
-		fmt.Println()
-		cluster.MachineTable(fleet, rep.Runs(), rep.Result).Fprint(os.Stdout)
-	}
-	if *gantt {
-		fmt.Println()
-		cluster.StormGantt(fleet, rep.Result).Fprint(os.Stdout)
-	}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
+		fleet, err := cluster.Generate(gen)
 		if err != nil {
-			fatal(err)
+			return cliutil.ExitFail, err
 		}
-		if err := cluster.MachineTable(fleet, rep.Runs(), rep.Result).WriteCSV(f); err != nil {
-			fatal(err)
+		sched, err := cluster.ParseSchedule(*outages, fleet.Racks)
+		if err != nil {
+			return cliutil.ExitFail, err
 		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+		pol, err := cluster.ParsePolicy(*router)
+		if err != nil {
+			return cliutil.ExitFail, err
 		}
-		fmt.Printf("machine table: %d rows to %s\n", len(rep.Machines), *csvPath)
-	}
-	if mf.Enabled() {
-		if err := mf.Write(cfg.Metrics); err != nil {
-			fatal(err)
+		rackJ, err := bf.BudgetJoules()
+		if err != nil {
+			return cliutil.ExitFail, err
 		}
-		fmt.Printf("metrics: %s snapshot to %s\n", mf.Format, mf.Path)
-	}
 
-	// The fleet oracle SLO always runs over the recorded series; the storm
-	// and drain-p99 budgets join it when set.
-	slo := horus.EvaluateSLO(
-		horus.FleetSLORules(stormSLO.Nanoseconds()*1000, drainSLO.Nanoseconds()*1000),
-		cfg.Timeseries.Snapshot())
-	if !slo.Ok() || *stormSLO > 0 || *drainSLO > 0 {
+		fc := horus.FleetConfig{
+			Fleet:         fleet,
+			Base:          cfg,
+			Sessions:      *sessions,
+			OpsPerSession: *opsPer,
+			BaseOps:       *baseOps,
+			HorizonPs:     horizon.Nanoseconds() * 1000,
+			Router:        pol,
+			Failover:      *failover,
+			Schedule:      sched,
+			Loop: cluster.LoopConfig{
+				RackPowerW:    *rackPower,
+				RackBatteryJ:  rackJ,
+				RecoverySlots: *slots,
+			},
+			BatteryTech: *tech,
+		}
+		rep, err := horus.RunFleet(ctx, fc, horus.SweepOptions{
+			Parallel: *parallel, Timeout: *timeout, Progress: env.Telemetry.ProgressFunc(),
+		})
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+
+		cluster.SummaryTable(fleet, fc.Loop, rep.Metrics, rep.Routes).Fprint(os.Stdout)
 		fmt.Println()
-		slo.Table().Fprint(os.Stdout)
-	}
-	if err := tfl.WriteTimeseries(); err != nil {
-		fatal(err)
-	}
-	tfl.Shutdown()
+		cluster.StormTable(rep.Result).Fprint(os.Stdout)
+		if *machTable {
+			fmt.Println()
+			cluster.MachineTable(fleet, rep.Runs(), rep.Result).Fprint(os.Stdout)
+		}
+		if *gantt {
+			fmt.Println()
+			cluster.StormGantt(fleet, rep.Result).Fprint(os.Stdout)
+		}
+		if *csvPath != "" {
+			if err := cliutil.WriteFile(*csvPath, cluster.MachineTable(fleet, rep.Runs(), rep.Result).WriteCSV); err != nil {
+				return cliutil.ExitFail, err
+			}
+			fmt.Printf("machine table: %d rows to %s\n", len(rep.Machines), *csvPath)
+		}
+		if err := env.WriteMetrics("metrics:"); err != nil {
+			return cliutil.ExitFail, err
+		}
 
-	// Oracle violations outrank SLO ones: a silently-corrupt machine is a
-	// correctness failure (exit 1), a blown budget an objective miss (exit 2).
-	if fails := rep.Failures(); len(fails) > 0 {
-		for _, m := range fails {
-			fmt.Fprintf(os.Stderr, "horus-fleet: machine %s (%s): %s — %s\n",
-				m.Spec.Name, m.Spec.Scheme, m.Outcome, m.Detail)
+		// The fleet oracle SLO always runs over the recorded series; the storm
+		// and drain-p99 budgets join it when set.
+		slo := horus.EvaluateSLO(
+			horus.FleetSLORules(stormSLO.Nanoseconds()*1000, drainSLO.Nanoseconds()*1000),
+			cfg.Timeseries.Snapshot())
+		if !slo.Ok() || *stormSLO > 0 || *drainSLO > 0 {
+			fmt.Println()
+			slo.Table().Fprint(os.Stdout)
 		}
-		fmt.Fprintf(os.Stderr, "horus-fleet: %d of %d machines violated the recovery contract\n",
-			len(fails), len(rep.Machines))
-		pf.Stop() // os.Exit skips defers; flush the profiles first
-		os.Exit(1)
-	}
-	if !slo.Ok() || len(rep.Result.BatteryExceeded) > 0 {
-		for _, rack := range rep.Result.BatteryExceeded {
-			fmt.Fprintf(os.Stderr, "horus-fleet: rack %d drains overdrew the rack battery budget\n", rack)
+		if err := env.Finish(); err != nil {
+			return cliutil.ExitFail, err
 		}
-		fmt.Fprintln(os.Stderr, "horus-fleet: fleet SLO violated")
-		pf.Stop()
-		os.Exit(2)
-	}
-	fmt.Printf("ok: %d machines, %d outage cycles, zero silent machines\n",
-		len(rep.Machines), rep.Metrics.Cycles)
+
+		// Oracle violations outrank SLO ones: a silently-corrupt machine is a
+		// correctness failure (exit 1), a blown budget an objective miss (exit 2).
+		if fails := rep.Failures(); len(fails) > 0 {
+			for _, m := range fails {
+				fmt.Fprintf(os.Stderr, "horus-fleet: machine %s (%s): %s — %s\n",
+					m.Spec.Name, m.Spec.Scheme, m.Outcome, m.Detail)
+			}
+			fmt.Fprintf(os.Stderr, "horus-fleet: %d of %d machines violated the recovery contract\n",
+				len(fails), len(rep.Machines))
+			return cliutil.ExitFail, nil
+		}
+		if !slo.Ok() || len(rep.Result.BatteryExceeded) > 0 {
+			for _, rack := range rep.Result.BatteryExceeded {
+				fmt.Fprintf(os.Stderr, "horus-fleet: rack %d drains overdrew the rack battery budget\n", rack)
+			}
+			fmt.Fprintln(os.Stderr, "horus-fleet: fleet SLO violated")
+			return cliutil.ExitSLO, nil
+		}
+		fmt.Printf("ok: %d machines, %d outage cycles, zero silent machines\n",
+			len(rep.Machines), rep.Metrics.Cycles)
+		return cliutil.ExitOK, nil
+	})
 }
 
 // knownWorkload reports whether name is a fleet workload spec.
@@ -229,9 +194,4 @@ func knownWorkload(name string) bool {
 		}
 	}
 	return false
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "horus-fleet:", err)
-	os.Exit(1)
 }

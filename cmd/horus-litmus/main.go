@@ -22,12 +22,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
 	"strings"
 
 	horus "repro"
@@ -53,146 +50,106 @@ func main() {
 		cells      = flag.Bool("cells", false, "print the per-ordering cell table, not just the summaries")
 		explain    = flag.Bool("explain", false, "print the detection-forensics table (failing check, region and provenance per detected cell or trial)")
 	)
-	mf := cliutil.AddMetricsFlags()
-	pf := cliutil.AddProfileFlags()
-	tfl := cliutil.AddTelemetryFlags(true)
-	shards := cliutil.AddShardsFlag()
-	flag.Parse()
-	if err := pf.Start(); err != nil {
-		fatal(err)
-	}
-	defer pf.Stop()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	cfg, err := cliutil.ParseScale(*scaleFlag)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Seed = *seed
-	cfg.Shards = *shards
-	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
-	cfg.Timeseries = tfl.Sampler()
-	if cfg.Timeseries == nil {
+	cliutil.Main("horus-litmus", true, func(env *cliutil.Env) (int, error) {
+		ctx := env.Context()
+		base, err := cliutil.ParseScale(*scaleFlag)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		base.Seed = *seed
+		cfg, err := env.Config(base)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
 		// The no-silent-reordering SLO always runs; it needs the recorded
 		// outcome series even without -ts or -serve.
-		cfg.Timeseries = horus.NewTimeseriesSampler(tfl.WindowNs*1000, tfl.Capacity)
-	}
-	if err := tfl.StartServer(cfg.Metrics); err != nil {
-		fatal(err)
-	}
+		env.RequireTimeseries(&cfg)
 
-	lc := horus.LitmusConfig{
-		Config:           cfg,
-		MaxOrderings:     *maxOrd,
-		ExhaustiveWrites: *exhaustive,
-		MaxEpochs:        *epochs,
-		CorruptTrials:    *trials,
-	}
-	if *schemeFlag != "" && !strings.EqualFold(*schemeFlag, "secure") {
-		for _, name := range strings.Split(*schemeFlag, ",") {
-			s, err := cliutil.ParseScheme(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			lc.Schemes = append(lc.Schemes, s)
+		lc := horus.LitmusConfig{
+			Config:           cfg,
+			MaxOrderings:     *maxOrd,
+			ExhaustiveWrites: *exhaustive,
+			MaxEpochs:        *epochs,
+			CorruptTrials:    *trials,
 		}
-	}
-	lc.Corrupt, err = horus.ParseCorruptionModels(*corrupt)
-	if err != nil {
-		fatal(err)
-	}
-	lc.NewWorkload = func(seed int64) *horus.Workload {
-		w, err := cliutil.MakeWorkload(*workload, horus.WorkloadConfig{
+		if !strings.EqualFold(*schemeFlag, "secure") {
+			if lc.Schemes, err = cliutil.ParseSchemes(*schemeFlag); err != nil {
+				return cliutil.ExitFail, err
+			}
+		}
+		lc.Corrupt, err = horus.ParseCorruptionModels(*corrupt)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		lc.NewWorkload, err = cliutil.WorkloadFunc(*workload, horus.WorkloadConfig{
 			Ops:            *ops,
 			WorkingSet:     1 << 20,
-			Seed:           seed,
 			PersistPercent: 10,
 		})
 		if err != nil {
-			fatal(err)
+			return cliutil.ExitFail, err
 		}
-		return w
-	}
 
-	rep, err := horus.RunLitmus(ctx, lc, horus.SweepOptions{
-		Parallel: *parallel, Timeout: *timeout, Progress: tfl.ProgressFunc(),
-	})
-	if err != nil {
-		fatal(err)
-	}
-
-	if *cells {
-		rep.CellTable().Fprint(os.Stdout)
-	}
-	rep.OrderingTable().Fprint(os.Stdout)
-	if len(rep.Coverage) > 0 {
-		fmt.Println()
-		rep.CoverageTable().Fprint(os.Stdout)
-	}
-	if *explain {
-		fmt.Println()
-		rep.ForensicTable().Fprint(os.Stdout)
-	}
-
-	if *csvPath != "" {
-		writeCSV(*csvPath, rep.CellTable(), len(rep.Cells), "ordering cells")
-	}
-	if *covCSV != "" {
-		writeCSV(*covCSV, rep.CoverageTable(), len(rep.Coverage), "coverage cells")
-	}
-	if mf.Enabled() {
-		if err := mf.Write(cfg.Metrics); err != nil {
-			fatal(err)
+		rep, err := horus.RunLitmus(ctx, lc, horus.SweepOptions{
+			Parallel: *parallel, Timeout: *timeout, Progress: env.Telemetry.ProgressFunc(),
+		})
+		if err != nil {
+			return cliutil.ExitFail, err
 		}
-		fmt.Printf("metrics: %s snapshot to %s\n", mf.Format, mf.Path)
-	}
 
-	// The silent-corruption SLO over the recorded per-ordering series:
-	// stricter than rep.Ok() alone, it also fails a run that recorded no data.
-	slo := horus.EvaluateSLO(horus.LitmusSLORules(), cfg.Timeseries.Snapshot())
-	if !slo.Ok() {
-		fmt.Println()
-		slo.Table().Fprint(os.Stdout)
-	}
-	if err := tfl.WriteTimeseries(); err != nil {
-		fatal(err)
-	}
-	tfl.Shutdown()
+		if *cells {
+			rep.CellTable().Fprint(os.Stdout)
+		}
+		rep.OrderingTable().Fprint(os.Stdout)
+		if len(rep.Coverage) > 0 {
+			fmt.Println()
+			rep.CoverageTable().Fprint(os.Stdout)
+		}
+		if *explain {
+			fmt.Println()
+			rep.ForensicTable().Fprint(os.Stdout)
+		}
 
-	if !rep.Ok() || !slo.Ok() {
-		fmt.Fprintf(os.Stderr, "horus-litmus: %d contract violations across %d ordering and %d coverage cells\n",
-			len(rep.Failures()), len(rep.Cells), len(rep.Coverage))
-		if w := rep.Witness; w != nil {
-			fmt.Fprintf(os.Stderr, "minimized witness for %s (%d of %d writes suffice):\n",
-				w.Cell.Label(), len(w.Applied), w.Cell.EpochWrites)
-			for _, line := range w.Trace {
-				fmt.Fprintf(os.Stderr, "  %s\n", line)
+		if *csvPath != "" {
+			if err := cliutil.WriteFile(*csvPath, rep.CellTable().WriteCSV); err != nil {
+				return cliutil.ExitFail, err
 			}
+			fmt.Printf("ordering cells: %d rows to %s\n", len(rep.Cells), *csvPath)
 		}
-		pf.Stop() // os.Exit skips defers; flush the profiles first
-		os.Exit(1)
-	}
-	fmt.Printf("ok: %d orderings and %d coverage cells, zero silent corruption\n", len(rep.Cells), len(rep.Coverage))
-}
+		if *covCSV != "" {
+			if err := cliutil.WriteFile(*covCSV, rep.CoverageTable().WriteCSV); err != nil {
+				return cliutil.ExitFail, err
+			}
+			fmt.Printf("coverage cells: %d rows to %s\n", len(rep.Coverage), *covCSV)
+		}
+		if err := env.WriteMetrics("metrics:"); err != nil {
+			return cliutil.ExitFail, err
+		}
 
-// writeCSV writes one report table to path, exiting on error.
-func writeCSV(path string, t interface{ WriteCSV(w io.Writer) error }, rows int, what string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := t.WriteCSV(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s: %d rows to %s\n", what, rows, path)
-}
+		// The silent-corruption SLO over the recorded per-ordering series:
+		// stricter than rep.Ok() alone, it also fails a run that recorded no data.
+		slo := horus.EvaluateSLO(horus.LitmusSLORules(), cfg.Timeseries.Snapshot())
+		if !slo.Ok() {
+			fmt.Println()
+			slo.Table().Fprint(os.Stdout)
+		}
+		if err := env.Finish(); err != nil {
+			return cliutil.ExitFail, err
+		}
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "horus-litmus:", err)
-	os.Exit(1)
+		if !rep.Ok() || !slo.Ok() {
+			fmt.Fprintf(os.Stderr, "horus-litmus: %d contract violations across %d ordering and %d coverage cells\n",
+				len(rep.Failures()), len(rep.Cells), len(rep.Coverage))
+			if w := rep.Witness; w != nil {
+				fmt.Fprintf(os.Stderr, "minimized witness for %s (%d of %d writes suffice):\n",
+					w.Cell.Label(), len(w.Applied), w.Cell.EpochWrites)
+				for _, line := range w.Trace {
+					fmt.Fprintf(os.Stderr, "  %s\n", line)
+				}
+			}
+			return cliutil.ExitFail, nil
+		}
+		fmt.Printf("ok: %d orderings and %d coverage cells, zero silent corruption\n", len(rep.Cells), len(rep.Coverage))
+		return cliutil.ExitOK, nil
+	})
 }

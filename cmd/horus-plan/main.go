@@ -13,11 +13,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 
 	horus "repro"
 	"repro/internal/cliutil"
@@ -33,80 +31,54 @@ func main() {
 		parallel = flag.Int("parallel", 0, "validation episode workers (0 = GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 0, "abort validation runs longer than this (0 = no limit)")
 	)
-	mf := cliutil.AddMetricsFlags()
-	pf := cliutil.AddProfileFlags()
-	tfl := cliutil.AddTelemetryFlags(false)
-	shards := cliutil.AddShardsFlag()
-	flag.Parse()
-	if err := pf.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "horus-plan:", err)
-		os.Exit(1)
-	}
-	defer pf.Stop()
-
-	cfg := horus.DefaultConfig()
-	cfg.LLCBytes = *llcMB << 20
-	cfg.DataSize = uint64(*memGB) << 30
-	cfg.Mem.Banks = *banks
-	cfg.Shards = *shards
-	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
-	cfg.Timeseries = tfl.Sampler()
-	if err := tfl.StartServer(cfg.Metrics); err != nil {
-		fmt.Fprintln(os.Stderr, "horus-plan:", err)
-		os.Exit(1)
-	}
-	defer tfl.Shutdown()
-	defer func() {
-		if err := tfl.WriteTimeseries(); err != nil {
-			fmt.Fprintln(os.Stderr, "horus-plan:", err)
-			os.Exit(1)
+	cliutil.Main("horus-plan", false, func(env *cliutil.Env) (int, error) {
+		base := horus.DefaultConfig()
+		base.LLCBytes = *llcMB << 20
+		base.DataSize = uint64(*memGB) << 30
+		base.Mem.Banks = *banks
+		cfg, err := env.Config(base)
+		if err != nil {
+			return cliutil.ExitFail, err
 		}
-	}()
 
-	t := &report.Table{
-		Title: fmt.Sprintf("EPD battery plan: %d MB LLC over %d GB NVM (%d banks)",
-			*llcMB, *memGB, *banks),
-		Header: []string{"design", "hold-up", "writes", "reads", "energy", "SuperCap", "Li-thin"},
-	}
-	for _, s := range horus.AllSchemes() {
-		p := horus.PlanBattery(cfg, s)
-		t.AddRow(s.String(),
-			p.DrainTime.String(),
-			report.Count(p.Writes),
-			report.Count(p.Reads),
-			report.Joules(p.EnergyJ),
-			report.Cm3(p.SuperCapCm3),
-			report.Cm3(p.LiThinCm3))
-	}
-	t.AddNote("closed-form worst-case estimates; run with -validate to compare against simulation")
-	t.Fprint(os.Stdout)
-
-	if !*validate {
-		return
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	vals, err := horus.ValidatePlansCtx(ctx, cfg, horus.AllSchemes(),
-		horus.SweepOptions{Parallel: *parallel, Timeout: *timeout})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "horus-plan:", err)
-		os.Exit(1)
-	}
-	v := &report.Table{
-		Title:  "Validation against simulation",
-		Header: []string{"design", "est. hold-up", "simulated", "error"},
-	}
-	for _, pv := range vals {
-		v.AddRow(pv.Scheme.String(), pv.Plan.DrainTime.String(), pv.Simulated.DrainTime.String(),
-			fmt.Sprintf("%+.0f%%", pv.ErrorPct))
-	}
-	v.Fprint(os.Stdout)
-	if mf.Enabled() {
-		report.SpanTree(cfg.Metrics).Fprint(os.Stdout)
-		if err := mf.Write(cfg.Metrics); err != nil {
-			fmt.Fprintln(os.Stderr, "horus-plan:", err)
-			os.Exit(1)
+		t := &report.Table{
+			Title: fmt.Sprintf("EPD battery plan: %d MB LLC over %d GB NVM (%d banks)",
+				*llcMB, *memGB, *banks),
+			Header: []string{"design", "hold-up", "writes", "reads", "energy", "SuperCap", "Li-thin"},
 		}
-		fmt.Printf("metrics: %s snapshot to %s\n", mf.Format, mf.Path)
-	}
+		for _, s := range horus.AllSchemes() {
+			p := horus.PlanBattery(cfg, s)
+			t.AddRow(s.String(),
+				p.DrainTime.String(),
+				report.Count(p.Writes),
+				report.Count(p.Reads),
+				report.Joules(p.EnergyJ),
+				report.Cm3(p.SuperCapCm3),
+				report.Cm3(p.LiThinCm3))
+		}
+		t.AddNote("closed-form worst-case estimates; run with -validate to compare against simulation")
+		t.Fprint(os.Stdout)
+
+		if !*validate {
+			return cliutil.ExitOK, nil
+		}
+		vals, err := horus.ValidatePlansCtx(env.Context(), cfg, horus.AllSchemes(),
+			horus.SweepOptions{Parallel: *parallel, Timeout: *timeout})
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		v := &report.Table{
+			Title:  "Validation against simulation",
+			Header: []string{"design", "est. hold-up", "simulated", "error"},
+		}
+		for _, pv := range vals {
+			v.AddRow(pv.Scheme.String(), pv.Plan.DrainTime.String(), pv.Simulated.DrainTime.String(),
+				fmt.Sprintf("%+.0f%%", pv.ErrorPct))
+		}
+		v.Fprint(os.Stdout)
+		if env.Metrics.Enabled() {
+			report.SpanTree(cfg.Metrics).Fprint(os.Stdout)
+		}
+		return cliutil.ExitOK, nil
+	})
 }

@@ -28,155 +28,133 @@ func main() {
 		scaleFlag  = flag.String("scale", "test", "test | paper")
 		seed       = flag.Int64("seed", 1, "fill seed")
 	)
-	mf := cliutil.AddMetricsFlags()
-	pf := cliutil.AddProfileFlags()
-	tfl := cliutil.AddTelemetryFlags(false)
-	shards := cliutil.AddShardsFlag()
 	tf := cliutil.AddTraceFlags()
 	ff := cliutil.AddForensicFlags()
-	flag.Parse()
-	if err := pf.Start(); err != nil {
-		fatal(err)
-	}
-	defer pf.Stop()
-
-	cfg := horus.TestConfig()
-	if *scaleFlag == "paper" {
-		cfg = horus.DefaultConfig()
-	}
-	cfg.Seed = *seed
-	cfg.Shards = *shards
-	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
-	cfg.Timeseries = tfl.Sampler()
-	cfg.Timeline = tf.Recorder()
-	cfg.Evlog = ff.Log()
-	if err := tfl.StartServer(cfg.Metrics); err != nil {
-		fatal(err)
-	}
-	defer tfl.Shutdown()
-	defer func() {
-		if err := tfl.WriteTimeseries(); err != nil {
-			fatal(err)
+	cliutil.Main("horus-recover", false, func(env *cliutil.Env) (int, error) {
+		base, err := cliutil.ParseScale(*scaleFlag)
+		if err != nil {
+			return cliutil.ExitFail, err
 		}
-	}()
-	scheme, err := cliutil.ParseScheme(*schemeFlag)
-	if err != nil {
-		fatal(err)
-	}
-
-	sys := horus.NewSystem(cfg, scheme)
-	if err := sys.Warmup(); err != nil {
-		fatal(err)
-	}
-	n := sys.Fill()
-	golden := sys.Hierarchy.Golden()
-	fmt.Printf("filled hierarchy: %s dirty blocks\n", report.Count(int64(n)))
-
-	res, err := sys.Drain()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("drained in %v (%s writes)\n", res.DrainTime, report.Count(res.MemWrites.Total()))
-
-	sys.Crash()
-	fmt.Println("power lost: caches and volatile metadata gone; persistent registers survive")
-
-	if *attackFlag != "none" {
-		if err := inject(sys, res, *attackFlag); err != nil {
-			fatal(err)
+		base.Seed = *seed
+		cfg, err := env.Config(base)
+		if err != nil {
+			return cliutil.ExitFail, err
 		}
-		fmt.Printf("attacker modified NVM while power was out (%s)\n", *attackFlag)
-	}
+		cfg.Timeline = tf.Recorder()
+		cfg.Evlog = ff.Log()
+		scheme, err := cliutil.ParseScheme(*schemeFlag)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
 
-	writeMetrics := func() {
-		if !mf.Enabled() {
-			return
+		sys := horus.NewSystem(cfg, scheme)
+		if err := sys.Warmup(); err != nil {
+			return cliutil.ExitFail, err
 		}
-		fmt.Println()
-		report.SpanTree(cfg.Metrics).Fprint(os.Stdout)
-		if err := mf.Write(cfg.Metrics); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics: %s snapshot to %s\n", mf.Format, mf.Path)
-	}
+		n := sys.Fill()
+		golden := sys.Hierarchy.Golden()
+		fmt.Printf("filled hierarchy: %s dirty blocks\n", report.Count(int64(n)))
 
-	// The drain's recording is snapshotted before recovery: each recovery
-	// path brackets its own phase-local episode in the same recorder.
-	var drainRec *horus.TimelineRecording
-	if cfg.Timeline != nil {
-		drainRec = cfg.Timeline.Recording()
-	}
+		res, err := sys.Drain()
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		fmt.Printf("drained in %v (%s writes)\n", res.DrainTime, report.Count(res.MemWrites.Total()))
 
-	writeEvlog := func() {
-		if ff.Path == "" {
-			return
-		}
-		if err := ff.WriteJSONL(cfg.Evlog.Records()...); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("forensics: flight recorder (%d events) to %s\n", cfg.Evlog.Len(), ff.Path)
-	}
+		sys.Crash()
+		fmt.Println("power lost: caches and volatile metadata gone; persistent registers survive")
 
-	rec, err := sys.Recover(res.Persist)
-	var rerr *horus.RecoveryError
-	switch {
-	case errors.As(err, &rerr):
-		fmt.Printf("recovery REFUSED: %v\n", err)
-		if ff.Explain {
-			f := horus.ForensicFromError(err, "recovery")
-			f.Scheme = scheme.String()
-			fmt.Println()
-			report.ForensicTable(*f).Fprint(os.Stdout)
-		}
-		writeEvlog()
-		if *attackFlag == "none" {
-			os.Exit(1) // should never refuse an untouched image
-		}
-		fmt.Println("attack detected — compromised state was not restored")
-		writeMetrics()
-		return
-	case err != nil:
-		fatal(err)
-	}
-	if *attackFlag != "none" && scheme.UsesCHV() {
-		fmt.Println("ERROR: attack went undetected")
-		os.Exit(1)
-	}
-
-	fmt.Printf("recovered in %v\n", rec.Time())
-	if scheme.UsesCHV() {
-		ok := 0
-		for addr, want := range golden {
-			if got, found := sys.Hierarchy.Read(addr); found && got == want {
-				ok++
+		if *attackFlag != "none" {
+			if err := inject(sys, res, *attackFlag); err != nil {
+				return cliutil.ExitFail, err
 			}
+			fmt.Printf("attacker modified NVM while power was out (%s)\n", *attackFlag)
 		}
-		fmt.Printf("verified %s/%s recovered blocks match pre-crash contents\n",
-			report.Count(int64(ok)), report.Count(int64(len(golden))))
-	} else {
-		fmt.Printf("metadata-cache vault re-installed (%d lines); in-place data verifies\n", res.Persist.Vault.Count)
-	}
-	if tf.Attrib {
-		fmt.Println()
-		report.AttributionTable(horus.AnalyzeTimeline(drainRec)).Fprint(os.Stdout)
-		if atts := rec.Attributions(); len(atts) > 0 {
-			fmt.Println()
-			report.AttributionTableTitled("Recovery critical path by binding resource", "(recovery time)", atts...).Fprint(os.Stdout)
-			for _, r := range rec.Timelines() {
+
+		// The drain's recording is snapshotted before recovery: each recovery
+		// path brackets its own phase-local episode in the same recorder.
+		var drainRec *horus.TimelineRecording
+		if cfg.Timeline != nil {
+			drainRec = cfg.Timeline.Recording()
+		}
+
+		writeEvlog := func() error {
+			if ff.Path == "" {
+				return nil
+			}
+			if err := ff.WriteJSONL(cfg.Evlog.Records()...); err != nil {
+				return err
+			}
+			fmt.Printf("forensics: flight recorder (%d events) to %s\n", cfg.Evlog.Len(), ff.Path)
+			return nil
+		}
+
+		rec, err := sys.Recover(res.Persist)
+		var rerr *horus.RecoveryError
+		switch {
+		case errors.As(err, &rerr):
+			fmt.Printf("recovery REFUSED: %v\n", err)
+			if ff.Explain {
+				f := horus.ForensicFromError(err, "recovery")
+				f.Scheme = scheme.String()
 				fmt.Println()
-				report.GanttTitled("Recovery timeline: "+r.Episode, r).Fprint(os.Stdout)
+				report.ForensicTable(*f).Fprint(os.Stdout)
+			}
+			if err := writeEvlog(); err != nil {
+				return cliutil.ExitFail, err
+			}
+			if *attackFlag == "none" {
+				return cliutil.ExitFail, nil // should never refuse an untouched image
+			}
+			fmt.Println("attack detected — compromised state was not restored")
+			env.PrintSpans() // Main's epilogue prints the metrics line after it
+			return cliutil.ExitOK, nil
+		case err != nil:
+			return cliutil.ExitFail, err
+		}
+		if *attackFlag != "none" && scheme.UsesCHV() {
+			fmt.Println("ERROR: attack went undetected")
+			return cliutil.ExitFail, nil
+		}
+
+		fmt.Printf("recovered in %v\n", rec.Time())
+		if scheme.UsesCHV() {
+			ok := 0
+			for addr, want := range golden {
+				if got, found := sys.Hierarchy.Read(addr); found && got == want {
+					ok++
+				}
+			}
+			fmt.Printf("verified %s/%s recovered blocks match pre-crash contents\n",
+				report.Count(int64(ok)), report.Count(int64(len(golden))))
+		} else {
+			fmt.Printf("metadata-cache vault re-installed (%d lines); in-place data verifies\n", res.Persist.Vault.Count)
+		}
+		if tf.Attrib {
+			fmt.Println()
+			report.AttributionTable(horus.AnalyzeTimeline(drainRec)).Fprint(os.Stdout)
+			if atts := rec.Attributions(); len(atts) > 0 {
+				fmt.Println()
+				report.AttributionTableTitled("Recovery critical path by binding resource", "(recovery time)", atts...).Fprint(os.Stdout)
+				for _, r := range rec.Timelines() {
+					fmt.Println()
+					report.GanttTitled("Recovery timeline: "+r.Episode, r).Fprint(os.Stdout)
+				}
 			}
 		}
-	}
-	if tf.Path != "" {
-		recs := append([]*horus.TimelineRecording{drainRec}, rec.Timelines()...)
-		if err := tf.WriteTrace(recs...); err != nil {
-			fatal(err)
+		if tf.Path != "" {
+			recs := append([]*horus.TimelineRecording{drainRec}, rec.Timelines()...)
+			if err := tf.WriteTrace(recs...); err != nil {
+				return cliutil.ExitFail, err
+			}
+			fmt.Printf("timeline: drain + %d recovery path(s) to %s\n", len(rec.Timelines()), tf.Path)
 		}
-		fmt.Printf("timeline: drain + %d recovery path(s) to %s\n", len(rec.Timelines()), tf.Path)
-	}
-	writeEvlog()
-	writeMetrics()
+		if err := writeEvlog(); err != nil {
+			return cliutil.ExitFail, err
+		}
+		env.PrintSpans()
+		return cliutil.ExitOK, nil
+	})
 }
 
 func inject(sys *horus.System, res horus.Result, attack string) error {
@@ -204,9 +182,4 @@ func inject(sys *horus.System, res horus.Result, attack string) error {
 		return fmt.Errorf("unknown attack %q", attack)
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "horus-recover:", err)
-	os.Exit(1)
 }

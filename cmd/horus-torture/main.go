@@ -14,11 +14,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 
 	horus "repro"
@@ -41,125 +39,87 @@ func main() {
 		cells      = flag.Bool("cells", false, "print the per-crash-point cell table, not just the summary")
 		explain    = flag.Bool("explain", false, "print the detection-forensics table (failing check, region and provenance per detected cell)")
 	)
-	mf := cliutil.AddMetricsFlags()
-	pf := cliutil.AddProfileFlags()
-	tfl := cliutil.AddTelemetryFlags(true)
-	shards := cliutil.AddShardsFlag()
-	flag.Parse()
-	if err := pf.Start(); err != nil {
-		fatal(err)
-	}
-	defer pf.Stop()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	cfg, err := cliutil.ParseScale(*scaleFlag)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Seed = *seed
-	cfg.Shards = *shards
-	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
-	cfg.Timeseries = tfl.Sampler()
-	if cfg.Timeseries == nil {
+	cliutil.Main("horus-torture", true, func(env *cliutil.Env) (int, error) {
+		ctx := env.Context()
+		base, err := cliutil.ParseScale(*scaleFlag)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		base.Seed = *seed
+		cfg, err := env.Config(base)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
 		// The no-silent-corruption SLO always runs; it needs the recorded
 		// outcome series even without -ts or -serve.
-		cfg.Timeseries = horus.NewTimeseriesSampler(tfl.WindowNs*1000, tfl.Capacity)
-	}
-	if err := tfl.StartServer(cfg.Metrics); err != nil {
-		fatal(err)
-	}
+		env.RequireTimeseries(&cfg)
 
-	tc := horus.TortureConfig{
-		Config:    cfg,
-		Stride:    *stride,
-		MaxPoints: *maxPoints,
-	}
-	if *schemeFlag != "" && !strings.EqualFold(*schemeFlag, "secure") {
-		for _, name := range strings.Split(*schemeFlag, ",") {
-			s, err := cliutil.ParseScheme(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			tc.Schemes = append(tc.Schemes, s)
+		tc := horus.TortureConfig{
+			Config:    cfg,
+			Stride:    *stride,
+			MaxPoints: *maxPoints,
 		}
-	}
-	tc.Flavors, err = horus.ParseCrashFlavors(*flavorFlag)
-	if err != nil {
-		fatal(err)
-	}
-	tc.NewWorkload = func(seed int64) *horus.Workload {
-		w, err := cliutil.MakeWorkload(*workload, horus.WorkloadConfig{
+		if !strings.EqualFold(*schemeFlag, "secure") {
+			if tc.Schemes, err = cliutil.ParseSchemes(*schemeFlag); err != nil {
+				return cliutil.ExitFail, err
+			}
+		}
+		tc.Flavors, err = horus.ParseCrashFlavors(*flavorFlag)
+		if err != nil {
+			return cliutil.ExitFail, err
+		}
+		tc.NewWorkload, err = cliutil.WorkloadFunc(*workload, horus.WorkloadConfig{
 			Ops:            *ops,
 			WorkingSet:     4 << 10,
-			Seed:           seed,
 			PersistPercent: 10,
 		})
 		if err != nil {
-			fatal(err)
+			return cliutil.ExitFail, err
 		}
-		return w
-	}
 
-	rep, err := horus.RunTortureMatrix(ctx, tc, horus.SweepOptions{
-		Parallel: *parallel, Timeout: *timeout, Progress: tfl.ProgressFunc(),
-	})
-	if err != nil {
-		fatal(err)
-	}
-
-	if *cells {
-		rep.CellTable().Fprint(os.Stdout)
-	}
-	rep.Table().Fprint(os.Stdout)
-	if *explain {
-		fmt.Println()
-		rep.ForensicTable().Fprint(os.Stdout)
-	}
-
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
+		rep, err := horus.RunTortureMatrix(ctx, tc, horus.SweepOptions{
+			Parallel: *parallel, Timeout: *timeout, Progress: env.Telemetry.ProgressFunc(),
+		})
 		if err != nil {
-			fatal(err)
+			return cliutil.ExitFail, err
 		}
-		if err := rep.CellTable().WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("cell table: %d rows to %s\n", len(rep.Cells), *csvPath)
-	}
-	if mf.Enabled() {
-		if err := mf.Write(cfg.Metrics); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics: %s snapshot to %s\n", mf.Format, mf.Path)
-	}
 
-	// The silent-corruption SLO over the recorded outcome series: stricter
-	// than rep.Ok() alone, it also fails a matrix that recorded no data.
-	slo := horus.EvaluateSLO(horus.TortureSLORules(), cfg.Timeseries.Snapshot())
-	if !slo.Ok() {
-		fmt.Println()
-		slo.Table().Fprint(os.Stdout)
-	}
-	if err := tfl.WriteTimeseries(); err != nil {
-		fatal(err)
-	}
-	tfl.Shutdown()
+		if *cells {
+			rep.CellTable().Fprint(os.Stdout)
+		}
+		rep.Table().Fprint(os.Stdout)
+		if *explain {
+			fmt.Println()
+			rep.ForensicTable().Fprint(os.Stdout)
+		}
 
-	if !rep.Ok() || !slo.Ok() {
-		fmt.Fprintf(os.Stderr, "horus-torture: %d of %d cells violated the recovery contract\n",
-			len(rep.Failures()), len(rep.Cells))
-		pf.Stop() // os.Exit skips defers; flush the profiles first
-		os.Exit(1)
-	}
-	fmt.Printf("ok: %d cells, zero silent corruption\n", len(rep.Cells))
-}
+		if *csvPath != "" {
+			if err := cliutil.WriteFile(*csvPath, rep.CellTable().WriteCSV); err != nil {
+				return cliutil.ExitFail, err
+			}
+			fmt.Printf("cell table: %d rows to %s\n", len(rep.Cells), *csvPath)
+		}
+		if err := env.WriteMetrics("metrics:"); err != nil {
+			return cliutil.ExitFail, err
+		}
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "horus-torture:", err)
-	os.Exit(1)
+		// The silent-corruption SLO over the recorded outcome series: stricter
+		// than rep.Ok() alone, it also fails a matrix that recorded no data.
+		slo := horus.EvaluateSLO(horus.TortureSLORules(), cfg.Timeseries.Snapshot())
+		if !slo.Ok() {
+			fmt.Println()
+			slo.Table().Fprint(os.Stdout)
+		}
+		if err := env.Finish(); err != nil {
+			return cliutil.ExitFail, err
+		}
+
+		if !rep.Ok() || !slo.Ok() {
+			fmt.Fprintf(os.Stderr, "horus-torture: %d of %d cells violated the recovery contract\n",
+				len(rep.Failures()), len(rep.Cells))
+			return cliutil.ExitFail, nil
+		}
+		fmt.Printf("ok: %d cells, zero silent corruption\n", len(rep.Cells))
+		return cliutil.ExitOK, nil
+	})
 }

@@ -1,11 +1,12 @@
-// Package cliutil holds the flag-parsing helpers shared by the horus
-// command-line tools: scheme, persistence-domain and workload selection.
+// Package cliutil is the harness the horus command-line tools share: Main
+// runs a command's flags, profiles, telemetry and exit status, and the
+// helpers parse scheme, persistence-domain, workload and scale names.
 package cliutil
 
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	horus "repro"
@@ -30,37 +31,22 @@ func AddMetricsFlags() *MetricsFlags {
 // Enabled reports whether metrics output was requested.
 func (mf *MetricsFlags) Enabled() bool { return mf.Path != "" }
 
-// Registry returns a fresh registry when -metrics was given, else nil
-// (instrumentation disabled, zero overhead).
-func (mf *MetricsFlags) Registry() *horus.MetricsRegistry {
-	if !mf.Enabled() {
-		return nil
-	}
-	return horus.NewMetricsRegistry()
-}
-
 // Write exports the registry to the configured path in the configured
 // format. No-op when metrics output is disabled.
 func (mf *MetricsFlags) Write(reg *horus.MetricsRegistry) error {
 	if !mf.Enabled() || reg == nil {
 		return nil
 	}
-	f, err := os.Create(mf.Path)
-	if err != nil {
-		return err
-	}
-	switch strings.ToLower(mf.Format) {
-	case "", "prom", "prometheus":
-		err = reg.WritePrometheus(f)
-	case "json":
-		err = reg.WriteJSON(f)
-	default:
-		err = fmt.Errorf("unknown metrics format %q (want prom|json)", mf.Format)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return WriteFile(mf.Path, func(w io.Writer) error {
+		switch strings.ToLower(mf.Format) {
+		case "", "prom", "prometheus":
+			return reg.WritePrometheus(w)
+		case "json":
+			return reg.WriteJSON(w)
+		default:
+			return fmt.Errorf("unknown metrics format %q (want prom|json)", mf.Format)
+		}
+	})
 }
 
 // AddShardsFlag registers the shared -shards flag on the default flag set;
@@ -94,6 +80,23 @@ func ParseScheme(s string) (horus.Scheme, error) {
 	}
 }
 
+// ParseSchemes parses a comma-separated list of scheme names, each in a
+// form ParseScheme accepts. The empty list gives nil.
+func ParseSchemes(list string) ([]horus.Scheme, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var out []horus.Scheme
+	for _, name := range strings.Split(list, ",") {
+		s, err := ParseScheme(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
 // ParseDomain maps a user-facing name to a persistence domain: adr,
 // wpq/adr+wpq, bbb, epd.
 func ParseDomain(s string) (horus.PersistDomain, error) {
@@ -114,22 +117,39 @@ func ParseDomain(s string) (horus.PersistDomain, error) {
 // MakeWorkload builds a named workload stream: kv, txlog, zipf, uniform,
 // sequential, graph.
 func MakeWorkload(name string, cfg horus.WorkloadConfig) (*horus.Workload, error) {
+	mk, err := WorkloadFunc(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return mk(cfg.Seed), nil
+}
+
+// WorkloadFunc validates a workload name and returns a constructor for
+// that workload at cfg with the seed replaced, the shape of the crash
+// harnesses' per-cell NewWorkload hooks.
+func WorkloadFunc(name string, cfg horus.WorkloadConfig) (func(seed int64) *horus.Workload, error) {
+	var mk func(horus.WorkloadConfig) *horus.Workload
 	switch strings.ToLower(name) {
 	case "kv":
-		return horus.KVStoreWorkload(cfg, 4), nil
+		mk = func(c horus.WorkloadConfig) *horus.Workload { return horus.KVStoreWorkload(c, 4) }
 	case "txlog":
-		return horus.TxLogWorkload(cfg, 2, 4), nil
+		mk = func(c horus.WorkloadConfig) *horus.Workload { return horus.TxLogWorkload(c, 2, 4) }
 	case "zipf":
-		return horus.ZipfWorkload(cfg, 1.2), nil
+		mk = func(c horus.WorkloadConfig) *horus.Workload { return horus.ZipfWorkload(c, 1.2) }
 	case "uniform":
-		return horus.UniformWorkload(cfg), nil
+		mk = horus.UniformWorkload
 	case "sequential":
-		return horus.SequentialWorkload(cfg), nil
+		mk = horus.SequentialWorkload
 	case "graph":
-		return horus.GraphWorkload(cfg, 3), nil
+		mk = func(c horus.WorkloadConfig) *horus.Workload { return horus.GraphWorkload(c, 3) }
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want kv|txlog|zipf|uniform|sequential|graph)", name)
 	}
+	return func(seed int64) *horus.Workload {
+		c := cfg
+		c.Seed = seed
+		return mk(c)
+	}, nil
 }
 
 // ParseScale maps paper|test to a configuration.

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"reflect"
 	"testing"
 
 	horus "repro"
@@ -69,5 +70,35 @@ func TestParseScale(t *testing.T) {
 	}
 	if _, err := ParseScale("huge"); err == nil {
 		t.Error("bogus scale accepted")
+	}
+}
+
+func TestParseSchemes(t *testing.T) {
+	got, err := ParseSchemes("slm, lu,DLM")
+	want := []horus.Scheme{horus.HorusSLM, horus.BaseLU, horus.HorusDLM}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseSchemes = %v, %v; want %v", got, err, want)
+	}
+	if got, err := ParseSchemes(""); got != nil || err != nil {
+		t.Errorf("empty list = %v, %v; want nil", got, err)
+	}
+	if _, err := ParseSchemes("slm,bogus"); err == nil {
+		t.Error("bogus scheme in list accepted")
+	}
+}
+
+func TestWorkloadFuncSetsSeed(t *testing.T) {
+	base := horus.WorkloadConfig{Ops: 50, WorkingSet: 64 << 10, Seed: 1}
+	mk, err := WorkloadFunc("kv", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Seed = 7
+	want, _ := MakeWorkload("kv", base)
+	if got := mk(7); !reflect.DeepEqual(got, want) {
+		t.Error("WorkloadFunc(seed 7) differs from MakeWorkload at seed 7")
+	}
+	if _, err := WorkloadFunc("nope", base); err == nil {
+		t.Error("bogus workload accepted")
 	}
 }

@@ -2,7 +2,7 @@ package cliutil
 
 import (
 	"flag"
-	"os"
+	"io"
 
 	horus "repro"
 )
@@ -45,13 +45,5 @@ func (ff *ForensicFlags) WriteJSONL(recs ...horus.EvlogRecord) error {
 	if ff.Path == "" {
 		return nil
 	}
-	f, err := os.Create(ff.Path)
-	if err != nil {
-		return err
-	}
-	err = horus.WriteEvlogJSONL(f, recs...)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return WriteFile(ff.Path, func(w io.Writer) error { return horus.WriteEvlogJSONL(w, recs...) })
 }

@@ -26,8 +26,8 @@ func AddProfileFlags() *ProfileFlags {
 	return pf
 }
 
-// Start begins CPU profiling when -pprof was given; call Stop (normally via
-// defer) to finish both profiles. No-op without the flag.
+// Start begins CPU profiling when -pprof was given; call Stop to finish
+// both profiles. No-op without the flag.
 func (pf *ProfileFlags) Start() error {
 	if pf.Dir == "" {
 		return nil
@@ -47,16 +47,14 @@ func (pf *ProfileFlags) Start() error {
 	return nil
 }
 
-// Stop finishes the CPU profile and writes the heap profile. Idempotent, so
-// commands that exit early (e.g. on a detected failure) can call it both on
-// the early path and via defer.
+// Stop finishes the CPU profile and writes the heap profile. No-op unless
+// Start began profiling.
 func (pf *ProfileFlags) Stop() {
 	if pf.cpu == nil {
 		return
 	}
 	pprof.StopCPUProfile()
 	pf.cpu.Close()
-	pf.cpu = nil
 	hp := filepath.Join(pf.Dir, "heap.pprof")
 	f, err := os.Create(hp)
 	if err != nil {

@@ -3,7 +3,6 @@ package cliutil
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -26,17 +25,13 @@ type TelemetryFlags struct {
 
 	sampler *horus.TimeseriesSampler
 	server  *horus.MonitorServer
-
-	// ProgressOut receives the -progress line; defaults to os.Stderr.
-	// Tests may redirect it.
-	ProgressOut io.Writer
 }
 
 // AddTelemetryFlags registers the shared telemetry flags on the default
 // flag set; call before flag.Parse. withProgress additionally registers
 // -progress (the sweep-shaped commands).
 func AddTelemetryFlags(withProgress bool) *TelemetryFlags {
-	tf := &TelemetryFlags{ProgressOut: os.Stderr}
+	tf := &TelemetryFlags{}
 	flag.StringVar(&tf.ServeAddr, "serve", "", "serve live telemetry over HTTP on this address (e.g. :8080 or 127.0.0.1:0): /metrics, /healthz, /timeseries.json, SSE /progress")
 	flag.DurationVar(&tf.Linger, "serve-linger", 0, "keep the -serve endpoint up this long after the run completes (lets a scraper collect final state)")
 	flag.StringVar(&tf.TSPath, "ts", "", "write the recorded sim-time series (the /timeseries.json document) to this file")
@@ -48,17 +43,12 @@ func AddTelemetryFlags(withProgress bool) *TelemetryFlags {
 	return tf
 }
 
-// TimeseriesEnabled reports whether sim-time series are being recorded:
-// requested explicitly (-ts) or implied by the monitoring server (-serve).
-func (tf *TelemetryFlags) TimeseriesEnabled() bool {
-	return tf.TSPath != "" || tf.ServeAddr != ""
-}
-
-// Sampler returns the shared sampler when time series are enabled, else
-// nil (recording disabled: one pointer check per event). The first call
-// creates it; later calls return the same sampler.
+// Sampler returns the shared sampler when sim-time series are recorded —
+// requested explicitly (-ts) or implied by the monitoring server (-serve) —
+// else nil (recording disabled: one pointer check per event). The first
+// call creates it; later calls return the same sampler.
 func (tf *TelemetryFlags) Sampler() *horus.TimeseriesSampler {
-	if !tf.TimeseriesEnabled() {
+	if tf.TSPath == "" && tf.ServeAddr == "" {
 		return nil
 	}
 	if tf.sampler == nil {
@@ -84,20 +74,6 @@ func (tf *TelemetryFlags) StartServer(reg *horus.MetricsRegistry) error {
 	return nil
 }
 
-// Server returns the running monitoring server, nil unless StartServer
-// bound one.
-func (tf *TelemetryFlags) Server() *horus.MonitorServer { return tf.server }
-
-// EnsureRegistry returns reg unchanged unless -serve is active and reg is
-// nil, in which case it creates a fresh registry so a scraper sees real
-// counters on /metrics even when no -metrics file was requested.
-func (tf *TelemetryFlags) EnsureRegistry(reg *horus.MetricsRegistry) *horus.MetricsRegistry {
-	if reg == nil && tf.ServeAddr != "" {
-		reg = horus.NewMetricsRegistry()
-	}
-	return reg
-}
-
 // ProgressFunc builds the sweep progress callback combining the -progress
 // stderr line and the -serve SSE stream; nil when neither is active (the
 // engine then skips per-episode callback work entirely).
@@ -106,17 +82,13 @@ func (tf *TelemetryFlags) ProgressFunc() func(horus.SweepProgress) {
 	if !tf.Progress && srv == nil {
 		return nil
 	}
-	out := tf.ProgressOut
-	if out == nil {
-		out = os.Stderr
-	}
 	return func(ev horus.SweepProgress) {
 		if tf.Progress {
 			eol := "\r"
 			if ev.Done >= ev.Total {
 				eol = "\n"
 			}
-			fmt.Fprintf(out, "progress: %d/%d episodes (%.1f eps/sec, eta %s)   %s",
+			fmt.Fprintf(os.Stderr, "progress: %d/%d episodes (%.1f eps/sec, eta %s)   %s",
 				ev.Done, ev.Total, ev.EpisodesPerSec(), ev.ETA().Round(100*time.Millisecond), eol)
 		}
 		if srv != nil {
@@ -140,15 +112,7 @@ func (tf *TelemetryFlags) WriteTimeseries() error {
 	if tf.TSPath == "" || tf.sampler == nil {
 		return nil
 	}
-	f, err := os.Create(tf.TSPath)
-	if err != nil {
-		return err
-	}
-	err = tf.sampler.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return WriteFile(tf.TSPath, tf.sampler.WriteJSON)
 }
 
 // Shutdown completes the telemetry lifecycle: honours -serve-linger, then

@@ -2,7 +2,7 @@ package cliutil
 
 import (
 	"flag"
-	"os"
+	"io"
 
 	horus "repro"
 )
@@ -45,13 +45,5 @@ func (tf *TraceFlags) WriteTrace(recs ...*horus.TimelineRecording) error {
 	if tf.Path == "" {
 		return nil
 	}
-	f, err := os.Create(tf.Path)
-	if err != nil {
-		return err
-	}
-	err = horus.WriteChromeTrace(f, recs...)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return WriteFile(tf.Path, func(w io.Writer) error { return horus.WriteChromeTrace(w, recs...) })
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -99,14 +98,12 @@ func drainMallocs(t *testing.T, scheme Scheme, shards int) uint64 {
 		t.Fatalf("%v shards=%d: warmup: %v", scheme, shards, err)
 	}
 	sys.Fill()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := sys.Drain()
-	runtime.ReadMemStats(&after)
+	var err error
+	n := countMallocs(func() { _, err = sys.Drain() })
 	if err != nil {
 		t.Fatalf("%v shards=%d: drain: %v", scheme, shards, err)
 	}
-	return after.Mallocs - before.Mallocs
+	return n
 }
 
 // TestBaselineDrainAllocsIndependentOfShards keeps per-block speculation out
