@@ -3,6 +3,7 @@ package horus
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -20,17 +21,20 @@ func countMallocs(fn func()) uint64 {
 var allocBudgetSink byte
 
 // TestHotPathAllocBudgets is the allocation gate over the hot-path episodes:
-// a drain per scheme, the 4k secure-write loop, the 8k encrypt+MAC loop and
-// a thinned torture matrix, all at TestConfig with Shards 1. Object counts
-// are deterministic up to a few objects of runtime noise and do not depend
-// on the host, so the ceilings are tight where wall time could not be.
+// a drain per scheme, the 4k secure-write loop, the 8k encrypt+MAC loop, a
+// thinned torture matrix and the timeline consumers (AnalyzeTimeline plus a
+// Chrome export of a recorded Base-LU drain, 169,384 events), all at
+// TestConfig with Shards 1. Object counts are deterministic up to a few
+// objects of runtime noise and do not depend on the host, so the ceilings
+// are tight where wall time could not be.
 //
 // Each ceiling is the count measured with go1.24 on linux/amd64 plus 10%,
 // rounded down. Measured without -race / with -race: drains 39/39
 // (NonSecure), 95/95 (Base-LU), 90/90 (Base-EU), 63/64 (Horus-SLM), 73/71
 // (Horus-DLM); secure writes 66/66; encrypt+MAC 0/0; torture smoke
-// ~35,050/~36,900. A change that raises a count past its ceiling must
-// either remove the allocations or re-measure and say why.
+// ~35,050/~36,900; analyze+chrome 59-63/59-63 (3,632,419 when the
+// consumers still allocated per event). A change that raises a count past
+// its ceiling must either remove the allocations or re-measure and say why.
 func TestHotPathAllocBudgets(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Shards = 1
@@ -78,6 +82,20 @@ func TestHotPathAllocBudgets(t *testing.T) {
 				}
 				if !rep.Ok() {
 					t.Fatalf("torture smoke has %d failing cells", len(rep.Failures()))
+				}
+			})
+		}},
+		episode{"analyze+chrome/base-lu", 69, func() uint64 {
+			cfg := cfg
+			cfg.Timeline = NewTimelineRecorder(0)
+			if _, err := RunDrain(cfg, BaseLU); err != nil {
+				t.Fatal(err)
+			}
+			rec := cfg.Timeline.Recording()
+			return countMallocs(func() {
+				AnalyzeTimeline(rec)
+				if err := WriteChromeTrace(io.Discard, rec); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}},

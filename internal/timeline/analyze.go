@@ -1,6 +1,8 @@
 package timeline
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -22,6 +24,35 @@ func kindPriority(kind string) int {
 		return 3
 	}
 	return 4
+}
+
+// pathKey is Analyze's sort key for one event that can bind the critical
+// path: the leading fields of the tie order, plus the event's index in the
+// recording for the rest.
+type pathKey struct {
+	done, ready sim.Time
+	prio, idx   int32
+}
+
+// pathSpan is one critical-path interval found by the walk: the binding
+// event's index (-1 for idle) and whether the interval is its wait.
+type pathSpan struct {
+	from, to sim.Time
+	idx      int32
+	wait     bool
+}
+
+// sameBinding reports whether two binding events (indices, -1 for idle)
+// render as the same step: same resource, track, op, label and stage.
+func sameBinding(evs []Event, a, b int32) bool {
+	if a == b {
+		return true
+	}
+	if a < 0 || b < 0 {
+		return false
+	}
+	x, y := &evs[a], &evs[b]
+	return x.Kind == y.Kind && x.Track == y.Track && x.Op == y.Op && x.Label == y.Label && x.Stage == y.Stage
 }
 
 // sortTracks orders track names by kind priority, then kind, then name.
@@ -114,10 +145,16 @@ func (a Attribution) Share(resource string) ResourceShare {
 // is attributed exactly once, which is what guarantees the per-scheme
 // attribution totals equal the measured drain time.
 //
-// Ties (several events completing at the same instant) break
-// deterministically — smallest Ready first, then kind priority, track and
-// start — so the attribution is byte-identical regardless of episode
-// scheduling (the -parallel determinism contract).
+// Ties (several events completing at the same instant) break under a total
+// key — smallest Ready first, then kind priority, Track, Start, Op, Label,
+// Stage, End and Kind — so the attribution depends only on the set of events,
+// never on their record order: it is byte-identical regardless of episode
+// scheduling (the -parallel determinism contract) and of how shard
+// recordings were merged. Events equal on every field are interchangeable.
+//
+// The sort orders a compact index of the candidate events rather than the
+// 112-byte events themselves, and touches an event only when Done, Ready
+// and kind priority all tie.
 func Analyze(rec *Recording) Attribution {
 	att := Attribution{}
 	if rec == nil {
@@ -130,95 +167,114 @@ func Analyze(rec *Recording) Attribution {
 		return att
 	}
 
+	evs := rec.Events
 	// Zero-progress events (Done <= Ready, e.g. issues on a combinational
 	// engine) can never bind the critical path and would stall the walk.
-	evs := make([]Event, 0, len(rec.Events))
-	for _, e := range rec.Events {
-		if e.Done > e.Ready && e.Done <= rec.Total {
-			evs = append(evs, e)
+	keys := make([]pathKey, 0, len(evs))
+	for i := range evs {
+		if e := &evs[i]; e.Done > e.Ready && e.Done <= rec.Total {
+			keys = append(keys, pathKey{done: e.Done, ready: e.Ready,
+				prio: int32(kindPriority(e.Kind)), idx: int32(i)})
 		}
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.Done != b.Done {
-			return a.Done < b.Done
+	slices.SortFunc(keys, func(a, b pathKey) int {
+		if c := cmp.Compare(a.done, b.done); c != 0 {
+			return c
 		}
-		if a.Ready != b.Ready {
-			return a.Ready < b.Ready
+		if c := cmp.Compare(a.ready, b.ready); c != 0 {
+			return c
 		}
-		if p, q := kindPriority(a.Kind), kindPriority(b.Kind); p != q {
-			return p < q
+		if c := cmp.Compare(a.prio, b.prio); c != 0 {
+			return c
 		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
+		x, y := &evs[a.idx], &evs[b.idx]
+		if c := cmp.Compare(x.Track, y.Track); c != 0 {
+			return c
 		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
+		if c := cmp.Compare(x.Start, y.Start); c != 0 {
+			return c
 		}
-		if a.Op != b.Op {
-			return a.Op < b.Op
+		if c := cmp.Compare(x.Op, y.Op); c != 0 {
+			return c
 		}
-		return a.Label < b.Label
+		if c := cmp.Compare(x.Label, y.Label); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.Stage, y.Stage); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.End, y.End); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.Kind, y.Kind); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
 	})
 
-	var steps []PathStep
-	add := func(s PathStep) {
-		if s.To <= s.From {
+	// The walk runs back in time, merging each interval into the later one
+	// beside it when both have the same binding attributes and phase.
+	var spans []pathSpan
+	add := func(sp pathSpan) {
+		if sp.to <= sp.from {
 			return
 		}
-		steps = append(steps, s)
+		if n := len(spans); n > 0 {
+			p := &spans[n-1]
+			if p.from == sp.to && p.wait == sp.wait && sameBinding(evs, p.idx, sp.idx) {
+				p.from = sp.from
+				return
+			}
+		}
+		spans = append(spans, sp)
 	}
 
-	cursor := rec.Total
+	// The cursor only moves back, so each search covers the keys below the
+	// previous one's result.
+	cursor, hi := rec.Total, len(keys)
 	for cursor > 0 {
-		// Latest event completing at or before the cursor.
-		idx := sort.Search(len(evs), func(i int) bool { return evs[i].Done > cursor }) - 1
-		if idx < 0 {
-			add(PathStep{From: 0, To: cursor, Resource: "idle", Phase: "idle"})
-			break
-		}
-		done := evs[idx].Done
-		if done < cursor {
-			add(PathStep{From: done, To: cursor, Resource: "idle", Phase: "idle"})
+		// First key completing at or after the cursor: if it completes
+		// exactly at the cursor it binds (smallest Ready, so it chains the
+		// path furthest back); otherwise the key before it is the latest
+		// completion before the cursor.
+		lo := sort.Search(hi, func(i int) bool { return keys[i].done >= cursor })
+		hi = lo
+		if lo == len(keys) || keys[lo].done != cursor {
+			if lo == 0 {
+				add(pathSpan{from: 0, to: cursor, idx: -1})
+				break
+			}
+			done := keys[lo-1].done
+			add(pathSpan{from: done, to: cursor, idx: -1})
 			cursor = done
 			continue
 		}
-		// Among events completing exactly at the cursor, the first in sort
-		// order (smallest Ready) binds: it chains the path furthest back.
-		lo := idx
-		for lo > 0 && evs[lo-1].Done == done {
-			lo--
-		}
-		ev := evs[lo]
+		idx := keys[lo].idx
+		ev := &evs[idx]
 		start := ev.Start
 		if start > cursor {
 			start = cursor
 		}
-		add(PathStep{From: start, To: cursor, Resource: ev.Kind, Phase: "service",
-			Track: ev.Track, Op: ev.Op, Label: ev.Label, Stage: ev.Stage})
-		add(PathStep{From: ev.Ready, To: start, Resource: ev.Kind, Phase: "wait",
-			Track: ev.Track, Op: ev.Op, Label: ev.Label, Stage: ev.Stage})
+		add(pathSpan{from: start, to: cursor, idx: idx})
+		add(pathSpan{from: ev.Ready, to: start, idx: idx, wait: true})
 		cursor = ev.Ready
 	}
 
-	// The walk emitted steps in reverse time order; flip and merge
-	// same-resource/phase neighbours into one step.
-	for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
-		steps[i], steps[j] = steps[j], steps[i]
-	}
-	merged := steps[:0]
-	for _, s := range steps {
-		if n := len(merged); n > 0 {
-			p := &merged[n-1]
-			if p.To == s.From && p.Resource == s.Resource && p.Phase == s.Phase &&
-				p.Track == s.Track && p.Op == s.Op && p.Label == s.Label && p.Stage == s.Stage {
-				p.To = s.To
-				continue
-			}
+	att.Steps = make([]PathStep, len(spans))
+	for i, sp := range spans {
+		st := &att.Steps[len(spans)-1-i]
+		st.From, st.To = sp.from, sp.to
+		if sp.idx < 0 {
+			st.Resource, st.Phase = "idle", "idle"
+			continue
 		}
-		merged = append(merged, s)
+		ev := &evs[sp.idx]
+		st.Resource, st.Phase = ev.Kind, "service"
+		if sp.wait {
+			st.Phase = "wait"
+		}
+		st.Track, st.Op, st.Label, st.Stage = ev.Track, ev.Op, ev.Label, ev.Stage
 	}
-	att.Steps = merged
 
 	// Aggregate shares in deterministic class order.
 	byClass := map[string]*ResourceShare{}

@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,25 +88,29 @@ func TestAnalyzeIdleGap(t *testing.T) {
 }
 
 func TestAnalyzeTieBreaksDeterministic(t *testing.T) {
-	// Two events complete at 100; the one with the smaller Ready binds
-	// (chains furthest back), regardless of input order.
-	evs := []Event{
-		{Track: "bank00", Kind: "bank", Ready: 20, Start: 20, End: 100, Done: 100},
-		{Track: "bank01", Kind: "bank", Ready: 0, Start: 0, End: 100, Done: 100},
-	}
-	a := Analyze(recWith(100, evs[0], evs[1]))
-	b := Analyze(recWith(100, evs[1], evs[0]))
-	checkTiling(t, a)
-	if len(a.Steps) != len(b.Steps) {
-		t.Fatalf("input order changed step count: %d vs %d", len(a.Steps), len(b.Steps))
-	}
-	for i := range a.Steps {
-		if a.Steps[i] != b.Steps[i] {
-			t.Fatalf("input order changed step %d: %+v vs %+v", i, a.Steps[i], b.Steps[i])
+	mac := Event{Track: "mac", Kind: "mac", Op: "mac", Stage: "drain:a", Ready: 0, Start: 0, End: 82, Done: 100}
+	macB := mac
+	macB.Stage = "drain:b"
+	for _, c := range []struct {
+		x, y         Event
+		track, stage string
+	}{
+		// Two events complete at 100; the one with the smaller Ready binds
+		// (chains furthest back).
+		{Event{Track: "bank00", Kind: "bank", Ready: 20, Start: 20, End: 100, Done: 100},
+			Event{Track: "bank01", Kind: "bank", Ready: 0, Start: 0, End: 100, Done: 100}, "bank01", ""},
+		// Equal but for their stage: the smaller stage binds.
+		{mac, macB, "mac", "drain:a"},
+	} {
+		a := Analyze(recWith(100, c.x, c.y))
+		b := Analyze(recWith(100, c.y, c.x))
+		checkTiling(t, a)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("input order changed the attribution:\n%+v\n%+v", a, b)
 		}
-	}
-	if a.Steps[0].Track != "bank01" {
-		t.Errorf("binding track = %q, want bank01 (smallest ready)", a.Steps[0].Track)
+		if last := a.Steps[len(a.Steps)-1]; last.Track != c.track || last.Stage != c.stage {
+			t.Errorf("binding track/stage = %q/%q, want %q/%q", last.Track, last.Stage, c.track, c.stage)
+		}
 	}
 }
 

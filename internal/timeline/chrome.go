@@ -2,7 +2,6 @@ package timeline
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -15,83 +14,194 @@ import (
 // binding resource is visible at a glance. Timestamps are microseconds, as
 // the format requires; the exact picosecond bounds ride along in each
 // event's args.
+//
+// Each trace event is appended into one reused byte buffer and written
+// through a 64 KB bufio.Writer, so the export allocates per recording and
+// per track, never per event.
 func WriteChromeTrace(w io.Writer, recs ...*Recording) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprint(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
-	first := true
-	emit := func(s string) {
-		if !first {
-			bw.WriteByte(',')
-		}
-		first = false
-		bw.WriteString("\n")
-		bw.WriteString(s)
-	}
-
+	enc := chromeEncoder{w: bufio.NewWriterSize(w, 64<<10)}
+	enc.w.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
 	pid := 0
 	for _, rec := range recs {
 		if rec == nil {
 			continue
 		}
 		pid++
-		name := rec.Episode
-		if name == "" {
-			name = fmt.Sprintf("episode %d", pid)
+		b := enc.begin('M', pid)
+		b = append(b, `,"name":"process_name","args":{"name":`...)
+		if rec.Episode == "" {
+			b = append(b, `"episode `...)
+			b = strconv.AppendInt(b, int64(pid), 10)
+			b = append(b, '"')
+		} else {
+			b = appendQuote(b, rec.Episode)
 		}
-		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"name":"process_name","args":{"name":%s}}`,
-			pid, strconv.Quote(name)))
+		if err := enc.end(b); err != nil {
+			return err
+		}
 
-		tracks := rec.Tracks()
+		b = enc.begin('M', pid)
+		b = append(b, `,"tid":0,"name":"thread_name","args":{"name":"critical-path"`...)
+		if err := enc.end(b); err != nil {
+			return err
+		}
 		tid := map[string]int{}
-		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":0,"name":"thread_name","args":{"name":"critical-path"}}`, pid))
-		for i, tr := range tracks {
+		for i, tr := range rec.Tracks() {
 			tid[tr] = i + 1
-			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-				pid, i+1, strconv.Quote(tr)))
+			b = enc.begin('M', pid)
+			b = append(b, `,"tid":`...)
+			b = strconv.AppendInt(b, int64(i+1), 10)
+			b = append(b, `,"name":"thread_name","args":{"name":`...)
+			b = appendQuote(b, tr)
+			if err := enc.end(b); err != nil {
+				return err
+			}
 		}
 
 		for _, s := range Analyze(rec).Steps {
-			label := s.Resource
-			if s.Phase != "service" {
-				label += " " + s.Phase
+			b = enc.begin('X', pid)
+			b = append(b, `,"tid":0,"ts":`...)
+			b = appendUsec(b, int64(s.From))
+			b = append(b, `,"dur":`...)
+			b = appendUsec(b, int64(s.To-s.From))
+			b = append(b, `,"name":`...)
+			if s.Phase == "service" {
+				b = appendQuote(b, s.Resource)
+			} else {
+				b = appendQuotedJoin(b, s.Resource, s.Phase)
 			}
-			emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":0,"ts":%s,"dur":%s,"name":%s,"cat":"critical-path","args":{"from_ps":%d,"to_ps":%d,"track":%s,"op":%s}}`,
-				pid, usec(int64(s.From)), usec(int64(s.To-s.From)),
-				strconv.Quote(label), int64(s.From), int64(s.To),
-				strconv.Quote(s.Track), strconv.Quote(opLabel(s.Op, s.Label))))
+			b = append(b, `,"cat":"critical-path","args":{"from_ps":`...)
+			b = strconv.AppendInt(b, int64(s.From), 10)
+			b = append(b, `,"to_ps":`...)
+			b = strconv.AppendInt(b, int64(s.To), 10)
+			b = append(b, `,"track":`...)
+			b = appendQuote(b, s.Track)
+			b = append(b, `,"op":`...)
+			b = appendQuotedOp(b, s.Op, s.Label)
+			if err := enc.end(b); err != nil {
+				return err
+			}
 		}
 
-		for _, e := range rec.Events {
+		for i := range rec.Events {
 			// The visible slice is the reservation [Start, End): disjoint
 			// per track by construction. Engine in-flight tails (Done past
 			// the issue slot) ride along in args.
-			emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"name":%s,"cat":%s,"args":{"ready_ps":%d,"start_ps":%d,"end_ps":%d,"done_ps":%d,"stage":%s}}`,
-				pid, tid[e.Track], usec(int64(e.Start)), usec(int64(e.End-e.Start)),
-				strconv.Quote(opLabel(e.Op, e.Label)), strconv.Quote(e.Kind),
-				int64(e.Ready), int64(e.Start), int64(e.End), int64(e.Done),
-				strconv.Quote(e.Stage)))
+			e := &rec.Events[i]
+			b = enc.begin('X', pid)
+			b = append(b, `,"tid":`...)
+			b = strconv.AppendInt(b, int64(tid[e.Track]), 10)
+			b = append(b, `,"ts":`...)
+			b = appendUsec(b, int64(e.Start))
+			b = append(b, `,"dur":`...)
+			b = appendUsec(b, int64(e.End-e.Start))
+			b = append(b, `,"name":`...)
+			b = appendQuotedOp(b, e.Op, e.Label)
+			b = append(b, `,"cat":`...)
+			b = appendQuote(b, e.Kind)
+			b = append(b, `,"args":{"ready_ps":`...)
+			b = strconv.AppendInt(b, int64(e.Ready), 10)
+			b = append(b, `,"start_ps":`...)
+			b = strconv.AppendInt(b, int64(e.Start), 10)
+			b = append(b, `,"end_ps":`...)
+			b = strconv.AppendInt(b, int64(e.End), 10)
+			b = append(b, `,"done_ps":`...)
+			b = strconv.AppendInt(b, int64(e.Done), 10)
+			b = append(b, `,"stage":`...)
+			b = appendQuote(b, e.Stage)
+			if err := enc.end(b); err != nil {
+				return err
+			}
 		}
 	}
-	fmt.Fprint(bw, "\n]}\n")
-	return bw.Flush()
+	enc.w.WriteString("\n]}\n")
+	return enc.w.Flush()
 }
 
-// opLabel joins an op with its refining label ("write chv-data").
-func opLabel(op, label string) string {
+// chromeEncoder writes trace events one at a time, each built in a single
+// reused buffer.
+type chromeEncoder struct {
+	w      *bufio.Writer
+	buf    []byte
+	events int
+}
+
+// begin starts the next trace event in the reused buffer: the separator and
+// the {"ph":..,"pid":.. prefix every event shares.
+func (c *chromeEncoder) begin(ph byte, pid int) []byte {
+	b := c.buf[:0]
+	if c.events > 0 {
+		b = append(b, ',')
+	}
+	c.events++
+	b = append(b, "\n{\"ph\":\""...)
+	b = append(b, ph)
+	b = append(b, `","pid":`...)
+	return strconv.AppendInt(b, int64(pid), 10)
+}
+
+// end closes the event's args object and the event, and writes it out.
+func (c *chromeEncoder) end(b []byte) error {
+	b = append(b, "}}"...)
+	c.buf = b
+	_, err := c.w.Write(b)
+	return err
+}
+
+// appendQuote appends strconv.Quote(s). Simulator names are printable
+// ASCII, which Quote copies through unchanged, so those skip its rune loop.
+func appendQuote(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendQuotedOp appends the quoted op with its refining label ("write
+// chv-data"), or whichever of the two is non-empty.
+func appendQuotedOp(b []byte, op, label string) []byte {
 	switch {
 	case op == "":
-		return label
+		return appendQuote(b, label)
 	case label == "":
-		return op
+		return appendQuote(b, op)
 	}
-	return op + " " + label
+	return appendQuotedJoin(b, op, label)
+}
+
+// appendQuotedJoin appends strconv.Quote(x + " " + y) without building the
+// joined string. Quote escapes rune by rune, and an ASCII space can neither
+// need escaping nor complete a partial UTF-8 sequence on either side, so the
+// quoted join is the two quoted halves spliced at a space.
+func appendQuotedJoin(b []byte, x, y string) []byte {
+	b = appendQuote(b, x)
+	b[len(b)-1] = ' '
+	n := len(b)
+	b = appendQuote(b, y)
+	copy(b[n:], b[n+1:]) // drop y's opening quote
+	return b[:len(b)-1]
+}
+
+// appendUsec appends picoseconds as decimal microseconds without float
+// rounding: the integer part, then all six fractional digits.
+func appendUsec(b []byte, ps int64) []byte {
+	u := uint64(ps)
+	if ps < 0 {
+		b = append(b, '-')
+		u = -u
+	}
+	b = strconv.AppendUint(b, u/1_000_000, 10)
+	b = append(b, '.')
+	frac := u % 1_000_000
+	for d := uint64(100_000); d > 0; d /= 10 {
+		b = append(b, byte('0'+frac/d%10))
+	}
+	return b
 }
 
 // usec renders picoseconds as decimal microseconds without float rounding.
-func usec(ps int64) string {
-	neg := ""
-	if ps < 0 {
-		neg, ps = "-", -ps
-	}
-	return fmt.Sprintf("%s%d.%06d", neg, ps/1_000_000, ps%1_000_000)
-}
+func usec(ps int64) string { return string(appendUsec(nil, ps)) }

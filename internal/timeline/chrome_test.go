@@ -1,11 +1,21 @@
 package timeline
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
+
+// The Chrome exporter's golden file pins its exact bytes. Regenerate after
+// an intentional format change with:
+//
+//	go test ./internal/timeline -run Golden -update
+var update = flag.Bool("update", false, "rewrite golden files with the current output")
 
 // chromeEvent mirrors the trace-event fields the tests inspect.
 type chromeEvent struct {
@@ -132,5 +142,65 @@ func TestUsec(t *testing.T) {
 		if got := usec(c.ps); got != c.want {
 			t.Errorf("usec(%d) = %q, want %q", c.ps, got, c.want)
 		}
+	}
+}
+
+// goldenChromeRecordings is a small fixed export: two episodes around a nil
+// recording (skipped, so pids stay dense), the second unnamed. Track, op,
+// label, stage and kind strings carry every escaping case: quotes,
+// backslashes, non-ASCII, control bytes and invalid UTF-8. (Strings are
+// quoted with strconv, so the last two come out as Go's \x01 and \xff
+// escapes, which JSON does not accept; simulator names are plain ASCII.)
+// The first episode has queued waits, a pipelined engine tail, a custom
+// kind and a trailing idle gap, so every critical-path phase appears.
+func goldenChromeRecordings() []*Recording {
+	a := NewRecorder(0)
+	a.BeginEpisode(`Horus-"SLM"\é`)
+	a.SetStage("drain:blocks")
+	a.SetOp("write", "chv-data")
+	a.OnReserve("bank00", "bank", 0, 0, 500, 500)
+	a.OnReserve("bank00", "bank", 0, 500, 1000, 1000)
+	a.OnReserve("bank\"01\"", "bank", 0, 0, 500, 500)
+	a.SetOp("", "bus\tlabel")
+	a.OnReserve("membus", "bus", 0, 0, 120, 120)
+	a.SetStage("drain:chv\x01stream")
+	a.SetOp("aes", "")
+	a.OnReserve("aes", "aes", 1000, 1000, 1082, 1160)
+	a.OnReserve("aes", "aes", 1082, 1082, 1164, 1242)
+	a.SetOp("mac", "ünïcode\n")
+	a.OnReserve("mac", "mac", 1160, 1300, 1460, 1460)
+	a.SetOp("", "")
+	a.OnReserve("pmu\xff", "pmu", 1460, 1460, 1500, 1500)
+	a.EndEpisode(2_000_123_456)
+
+	b := NewRecorder(0)
+	b.BeginEpisode("")
+	b.SetOp("read", "counter")
+	b.OnReserve("bank02", "bank", 0, 7, 1_234_567, 1_234_567)
+	b.EndEpisode(1_234_567)
+	return []*Recording{a.Recording(), nil, b.Recording()}
+}
+
+func TestGoldenChromeTrace(t *testing.T) {
+	var b bytes.Buffer
+	if err := WriteChromeTrace(&b, goldenChromeRecordings()...); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "chrome.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Errorf("Chrome trace differs from golden file (rerun with -update if intentional)\n--- got ---\n%s\n--- want ---\n%s",
+			b.Bytes(), want)
 	}
 }

@@ -12,11 +12,13 @@ import "repro/internal/sim"
 // events, then shard 1's, and so on — never dependent on goroutine timing.
 //
 // Determinism of everything downstream follows from the inputs: Analyze
-// re-sorts events under a total deterministic key (so attribution is
-// identical for any interleaving of the same event set — the exact-tiling
-// invariant TestAttributionTotalsEqualDrainTime checks transfers to merged
-// recordings), and the Chrome exporter walks tracks in sorted-name order
-// with per-track record order preserved by the ownership rule.
+// orders events under a key covering every Event field, so two events it
+// cannot tell apart are identical and attribution is the same for any
+// interleaving of the same event set (TestAnalyzeOrderIndependent; the
+// exact-tiling invariant TestAttributionTotalsEqualDrainTime checks
+// transfers to merged recordings), and the Chrome exporter walks tracks in
+// sorted-name order with per-track record order preserved by the ownership
+// rule.
 //
 // Episode metadata: the episode label comes from the first non-nil input,
 // Total is the maximum input Total (every shard of one episode measures the
