@@ -106,3 +106,52 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		}
 	}
 }
+
+// countBytes returns the number of heap bytes allocated while fn runs.
+func countBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRecoveryRefillByteBudget gates the bytes, not objects, that one
+// TestConfig Horus-SLM drain, crash and recovery allocate (Shards 1). The
+// object count cannot see the regression it guards against: a hierarchy
+// that regrows its dirty-line table on every refill allocates a few large
+// arrays per growth step, not many small objects.
+//
+// The ceiling is the bytes measured with go1.24 on linux/amd64 plus 10%,
+// rounded down: 1,238,776 without -race, 1,244,024 with it (2,598,472
+// when the hierarchy was a Go map rebuilt from empty by every refill and
+// the drain copied its blocks).
+func TestRecoveryRefillByteBudget(t *testing.T) {
+	const ceiling = 1_362_653
+	cfg := TestConfig()
+	cfg.Shards = 1
+	sys := NewSystem(cfg, HorusSLM)
+	if err := sys.Warmup(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Fill()
+	var err error
+	got := countBytes(func() {
+		var res Result
+		if res, err = sys.Drain(); err != nil {
+			return
+		}
+		sys.Crash()
+		_, err = sys.Recover(res.Persist)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Hierarchy.DirtyCount() != sys.Hierarchy.Config().TotalLines() {
+		t.Fatalf("recovery refilled %d of %d lines", sys.Hierarchy.DirtyCount(), sys.Hierarchy.Config().TotalLines())
+	}
+	t.Logf("drain+crash+recover allocates %d bytes", got)
+	if got > ceiling {
+		t.Errorf("drain+crash+recover allocates %d bytes, budget %d", got, ceiling)
+	}
+}

@@ -3,6 +3,7 @@ package horus
 import (
 	"fmt"
 
+	"repro/internal/addrmap"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs/evlog"
@@ -62,24 +63,25 @@ func classifyHorusOutcome(cs *core.System, ps PersistentState,
 		o, d, f := classifyRecoveryError(err, "CHV recovery")
 		return o, d, f, elapsed
 	}
-	drained := make(map[uint64]bool, len(blocks))
+	var drained, recovered addrmap.Map[struct{}]
+	drained.Reserve(len(blocks))
 	for _, b := range blocks {
-		drained[b.Addr] = true
+		drained.Ref(b.Addr)
 	}
-	recovered := make(map[uint64]bool, len(res.Blocks))
+	recovered.Reserve(len(res.Blocks))
 	for _, b := range res.Blocks {
 		want, ok := golden[b.Addr]
-		if !ok || !drained[b.Addr] {
+		if !ok || !drained.Has(b.Addr) {
 			return OutcomeSilentCorruption, fmt.Sprintf("recovered block at %#x was never drained", b.Addr), nil, elapsed
 		}
 		if b.Data != want {
 			return OutcomeSilentCorruption, fmt.Sprintf("recovered wrong bytes at %#x with verified MACs", b.Addr), nil, elapsed
 		}
-		recovered[b.Addr] = true
+		recovered.Ref(b.Addr)
 	}
 	missing := 0
 	for _, b := range blocks {
-		if !recovered[b.Addr] {
+		if !recovered.Has(b.Addr) {
 			missing++
 		}
 	}

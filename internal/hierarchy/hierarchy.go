@@ -16,8 +16,10 @@ package hierarchy
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
+	"repro/internal/addrmap"
 	"repro/internal/mem"
 )
 
@@ -68,11 +70,15 @@ type DirtyBlock struct {
 	Data mem.Block
 }
 
-// Hierarchy holds the dirty contents of the cache hierarchy.
+// Hierarchy holds the dirty contents of the cache hierarchy: one dense,
+// insertion-ordered block array plus an open-addressed index from address to
+// position. Iteration order is the array's, so no output depends on hash
+// order, and the drain reads the array directly instead of a copy.
 type Hierarchy struct {
-	cfg   Config
-	data  map[uint64]mem.Block
-	order []uint64 // insertion order, for deterministic iteration
+	cfg      Config
+	capacity int          // cfg.TotalLines(), the dirty-block bound
+	blocks   []DirtyBlock // insertion order
+	index    addrmap.Map[int32]
 }
 
 // New returns an empty hierarchy.
@@ -80,7 +86,11 @@ func New(cfg Config) *Hierarchy {
 	if len(cfg.Levels) == 0 {
 		panic("hierarchy: config needs at least one level")
 	}
-	return &Hierarchy{cfg: cfg, data: make(map[uint64]mem.Block)}
+	n := cfg.TotalLines()
+	if n > math.MaxInt32 {
+		panic("hierarchy: more lines than the int32 block index holds")
+	}
+	return &Hierarchy{cfg: cfg, capacity: n}
 }
 
 // Config returns the hierarchy's configuration.
@@ -91,45 +101,63 @@ func (h *Hierarchy) Write(addr uint64, data mem.Block) {
 	if addr%mem.BlockSize != 0 {
 		panic(fmt.Sprintf("hierarchy: unaligned address %#x", addr))
 	}
-	if _, ok := h.data[addr]; !ok {
-		if len(h.data) >= h.cfg.TotalLines() {
-			panic("hierarchy: dirty blocks exceed total line capacity")
-		}
-		h.order = append(h.order, addr)
+	if i, ok := h.index.Get(addr); ok {
+		h.blocks[i].Data = data
+		return
 	}
-	h.data[addr] = data
+	if len(h.blocks) >= h.capacity {
+		panic("hierarchy: dirty blocks exceed total line capacity")
+	}
+	*h.index.Ref(addr) = int32(len(h.blocks))
+	h.blocks = append(h.blocks, DirtyBlock{Addr: addr, Data: data})
 }
 
 // Read returns the content of a dirty block, if present.
 func (h *Hierarchy) Read(addr uint64) (mem.Block, bool) {
-	b, ok := h.data[addr]
-	return b, ok
+	if i, ok := h.index.Get(addr); ok {
+		return h.blocks[i].Data, true
+	}
+	return mem.Block{}, false
 }
 
 // DirtyCount returns the number of dirty blocks.
-func (h *Hierarchy) DirtyCount() int { return len(h.data) }
+func (h *Hierarchy) DirtyCount() int { return len(h.blocks) }
+
+// Reserve sizes the hierarchy for n dirty blocks in total (at most its line
+// capacity), so filling it with a known footprint (a worst-case fill, a
+// recovery refill) never grows the block array or the index.
+func (h *Hierarchy) Reserve(n int) {
+	n = min(n, h.capacity)
+	h.index.Reserve(n)
+	if cap(h.blocks) < n {
+		h.blocks = append(make([]DirtyBlock, 0, n), h.blocks...)
+	}
+}
 
 // Clear models the loss of the (volatile) cache arrays, e.g. after draining
-// completes and power is lost.
+// completes and power is lost. It releases the storage rather than keeping
+// it for a refill: a crashed system that is never recovered (every baseline
+// episode) would otherwise hold a full hierarchy's worth of dead blocks.
 func (h *Hierarchy) Clear() {
-	h.data = make(map[uint64]mem.Block)
-	h.order = nil
+	h.blocks = nil
+	h.index.Reset()
 }
 
-// DirtyBlocks returns the dirty blocks in insertion order.
+// DirtyBlocks returns the dirty blocks in insertion order. The slice is the
+// hierarchy's own storage, capped so that appending to it copies: callers
+// must treat it as read-only, and a later Write of an address already dirty
+// shows through it.
 func (h *Hierarchy) DirtyBlocks() []DirtyBlock {
-	out := make([]DirtyBlock, 0, len(h.order))
-	for _, a := range h.order {
-		out = append(out, DirtyBlock{Addr: a, Data: h.data[a]})
-	}
-	return out
+	n := len(h.blocks)
+	return h.blocks[:n:n]
 }
 
-// DirtyBlocksShuffled returns the dirty blocks in a pseudo-random flush
-// order. The worst-case drain flushes lines with no useful ordering
-// (§V-A: "randomly filled with sparse contents").
+// DirtyBlocksShuffled returns a copy of the dirty blocks in a pseudo-random
+// flush order, leaving the insertion order intact. The worst-case drain
+// flushes lines with no useful ordering (§V-A: "randomly filled with sparse
+// contents").
 func (h *Hierarchy) DirtyBlocksShuffled(rng *rand.Rand) []DirtyBlock {
-	out := h.DirtyBlocks()
+	out := append([]DirtyBlock(nil), h.blocks...)
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
@@ -137,9 +165,9 @@ func (h *Hierarchy) DirtyBlocksShuffled(rng *rand.Rand) []DirtyBlock {
 // Golden returns a copy of the dirty contents keyed by address, used by
 // end-to-end tests to check recovery.
 func (h *Hierarchy) Golden() map[uint64]mem.Block {
-	out := make(map[uint64]mem.Block, len(h.data))
-	for a, b := range h.data {
-		out[a] = b
+	out := make(map[uint64]mem.Block, len(h.blocks))
+	for _, b := range h.blocks {
+		out[b.Addr] = b.Data
 	}
 	return out
 }
@@ -177,8 +205,8 @@ const SparseSlotBytes = 16 << 10
 // equals Config.TotalLines (295 936 for the Table I hierarchy, the count in
 // the paper's Fig. 6).
 func (h *Hierarchy) FillAllDirty(opt FillOptions) int {
-	n := h.cfg.TotalLines()
-	if len(h.data) != 0 {
+	n := h.capacity
+	if len(h.blocks) != 0 {
 		panic("hierarchy: FillAllDirty on a non-empty hierarchy")
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -218,6 +246,7 @@ func (h *Hierarchy) FillAllDirty(opt FillOptions) int {
 	default:
 		panic("hierarchy: unknown fill pattern")
 	}
+	h.Reserve(n)
 	for _, a := range addrs {
 		h.Write(a, randomBlock(rng))
 	}

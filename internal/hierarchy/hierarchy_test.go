@@ -236,3 +236,142 @@ func TestNewEmptyConfigPanics(t *testing.T) {
 	}()
 	New(Config{})
 }
+
+// refModel is the hierarchy as it was kept before the dense table: a Go map
+// of contents plus an insertion-order list.
+type refModel struct {
+	data  map[uint64]mem.Block
+	order []uint64
+}
+
+func (m *refModel) write(addr uint64, b mem.Block) {
+	if _, ok := m.data[addr]; !ok {
+		m.order = append(m.order, addr)
+	}
+	m.data[addr] = b
+}
+
+func (m *refModel) clear() { m.data, m.order = map[uint64]mem.Block{}, nil }
+
+// TestHierarchyMatchesReferenceModel drives the hierarchy and the map+order
+// model through random writes (new and overwriting), reads, clears,
+// recovery-style refills and the capacity panic, and compares every view
+// (Read, DirtyCount, DirtyBlocks, Golden) after each step. The address pool
+// is larger than the capacity, so the full hierarchy is hit often; a refused
+// write must leave the hierarchy unchanged.
+func TestHierarchyMatchesReferenceModel(t *testing.T) {
+	const lines = 48
+	h := New(Config{Levels: []LevelConfig{{Name: "c", SizeBytes: lines * mem.BlockSize, Ways: 4}}})
+	ref := &refModel{}
+	ref.clear()
+	rng := rand.New(rand.NewSource(5))
+	pool := make([]uint64, 96)
+	for i := range pool {
+		pool[i] = uint64(rng.Intn(1<<16)) * mem.BlockSize
+	}
+	block := func() mem.Block { return mem.Block{0: byte(rng.Intn(256)), 63: byte(rng.Intn(256))} }
+	panics, refills := 0, 0
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(100); {
+		case op < 60:
+			addr, b := pool[rng.Intn(len(pool))], block()
+			_, present := ref.data[addr]
+			full := !present && len(ref.order) == lines
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				h.Write(addr, b)
+				return false
+			}()
+			if panicked != full {
+				t.Fatalf("step %d: Write(%#x) panicked=%v, want %v", step, addr, panicked, full)
+			}
+			if full {
+				panics++
+			} else {
+				ref.write(addr, b)
+			}
+		case op < 80:
+			addr := pool[rng.Intn(len(pool))]
+			got, ok := h.Read(addr)
+			want, wok := ref.data[addr]
+			if ok != wok || got != want {
+				t.Fatalf("step %d: Read(%#x) = (%v, %v), want (%v, %v)", step, addr, got, ok, want, wok)
+			}
+		case op < 97:
+			// DirtyBlocksShuffled is a permutation and leaves the insertion
+			// order DirtyBlocks reports untouched.
+			shuf := h.DirtyBlocksShuffled(rand.New(rand.NewSource(int64(step))))
+			if len(shuf) != len(ref.order) {
+				t.Fatalf("step %d: shuffled %d blocks, want %d", step, len(shuf), len(ref.order))
+			}
+			for _, db := range shuf {
+				if ref.data[db.Addr] != db.Data {
+					t.Fatalf("step %d: shuffled block %#x has wrong data", step, db.Addr)
+				}
+			}
+		case op < 99:
+			// Crash and recovery refill: clear, then reinstall the drained
+			// blocks after reserving their footprint.
+			drained := append([]DirtyBlock(nil), h.DirtyBlocks()...)
+			h.Clear()
+			ref.clear()
+			if rng.Intn(2) == 0 {
+				h.Reserve(len(drained))
+				for _, db := range drained {
+					h.Write(db.Addr, db.Data)
+					ref.write(db.Addr, db.Data)
+				}
+				refills++
+			}
+		default:
+			h.Clear()
+			ref.clear()
+		}
+		if h.DirtyCount() != len(ref.order) {
+			t.Fatalf("step %d: DirtyCount = %d, want %d", step, h.DirtyCount(), len(ref.order))
+		}
+		blocks := h.DirtyBlocks()
+		if len(blocks) != len(ref.order) || cap(blocks) != len(blocks) {
+			t.Fatalf("step %d: DirtyBlocks len %d cap %d, want len %d capped", step, len(blocks), cap(blocks), len(ref.order))
+		}
+		for i, a := range ref.order {
+			if blocks[i].Addr != a || blocks[i].Data != ref.data[a] {
+				t.Fatalf("step %d: DirtyBlocks[%d] = %#x, want %#x in insertion order", step, i, blocks[i].Addr, a)
+			}
+		}
+		if step%50 == 0 {
+			g := h.Golden()
+			if len(g) != len(ref.data) {
+				t.Fatalf("step %d: Golden has %d blocks, want %d", step, len(g), len(ref.data))
+			}
+			for a, b := range ref.data {
+				if g[a] != b {
+					t.Fatalf("step %d: Golden[%#x] wrong", step, a)
+				}
+			}
+		}
+	}
+	if panics == 0 || refills == 0 {
+		t.Fatalf("weak run: %d capacity panics, %d refills", panics, refills)
+	}
+}
+
+// TestDirtyBlocksIsReadOnlyView pins the no-copy contract: appending to the
+// returned slice never writes into the hierarchy, and Clear leaves a slice
+// taken earlier intact.
+func TestDirtyBlocksIsReadOnlyView(t *testing.T) {
+	h := New(TableIWithLLC(1 << 20))
+	h.Reserve(4)
+	h.Write(0, mem.Block{0: 1})
+	h.Write(64, mem.Block{0: 2})
+	blocks := h.DirtyBlocks()
+	_ = append(blocks, DirtyBlock{Addr: 128})
+	h.Write(192, mem.Block{0: 3})
+	if got := h.DirtyBlocks(); len(got) != 3 || got[2].Addr != 192 {
+		t.Fatalf("append to DirtyBlocks leaked into the hierarchy: %+v", got)
+	}
+	h.Clear()
+	if blocks[0].Data[0] != 1 || blocks[1].Data[0] != 2 {
+		t.Fatal("Clear overwrote a previously returned slice")
+	}
+}

@@ -7,6 +7,8 @@ package mem
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/addrmap"
 )
 
 // BlockSize is the memory access granularity in bytes (one cache line).
@@ -36,13 +38,13 @@ type storeEntry struct {
 // Store is a sparse functional memory: unwritten blocks read as zero.
 // Addresses are byte addresses and must be 64-byte aligned.
 //
-// Blocks live in one open-addressed table (addrmap.go) rather than a Go map:
-// every timed access funnels through ReadBlock/WriteBlock, so the probe cost
-// and the map's per-bucket overhead are on the simulator's hottest path.
+// Blocks live in one open-addressed table (internal/addrmap) rather than a Go
+// map: every timed access funnels through ReadBlock/WriteBlock, so the probe
+// cost and the map's per-bucket overhead are on the simulator's hottest path.
 // The table grows on demand; code that knows a machine's footprint up front
 // sizes it once with Reserve.
 type Store struct {
-	m addrMap[storeEntry]
+	m addrmap.Map[storeEntry]
 }
 
 // NewStore returns an empty store.
@@ -57,7 +59,7 @@ func checkAligned(addr uint64) {
 // ReadBlock returns the content of the block at addr (zero if never written).
 func (s *Store) ReadBlock(addr uint64) Block {
 	checkAligned(addr)
-	e, _ := s.m.get(addr)
+	e, _ := s.m.Get(addr)
 	return e.b
 }
 
@@ -65,7 +67,7 @@ func (s *Store) ReadBlock(addr uint64) Block {
 // writes from tests and recovery are not medium writes).
 func (s *Store) WriteBlock(addr uint64, b Block) {
 	checkAligned(addr)
-	s.m.ref(addr).b = b
+	s.m.Ref(addr).b = b
 }
 
 // entry returns a pointer to the block's fused content+wear entry, inserting
@@ -73,12 +75,12 @@ func (s *Store) WriteBlock(addr uint64, b Block) {
 // (table growth); the controller uses it strictly within one access.
 func (s *Store) entry(addr uint64) *storeEntry {
 	checkAligned(addr)
-	return s.m.ref(addr)
+	return s.m.Ref(addr)
 }
 
 // wearOf returns the lifetime write count of one block.
 func (s *Store) wearOf(addr uint64) int64 {
-	e, _ := s.m.get(addr)
+	e, _ := s.m.Get(addr)
 	return e.wear
 }
 
@@ -86,7 +88,7 @@ func (s *Store) wearOf(addr uint64) int64 {
 // unspecified order. Blocks only ever written functionally (wear zero) are
 // skipped, preserving the semantics of the former separate wear table.
 func (s *Store) eachWear(fn func(addr uint64, wear int64)) {
-	s.m.each(func(a uint64, e storeEntry) {
+	s.m.Each(func(a uint64, e storeEntry) {
 		if e.wear != 0 {
 			fn(a, e.wear)
 		}
@@ -94,27 +96,27 @@ func (s *Store) eachWear(fn func(addr uint64, wear int64)) {
 }
 
 // Populated returns the number of blocks that have been written.
-func (s *Store) Populated() int { return s.m.len() }
+func (s *Store) Populated() int { return s.m.Len() }
 
 // Cap returns how many blocks the store holds before its table next grows.
-func (s *Store) Cap() int { return s.m.cap() }
+func (s *Store) Cap() int { return s.m.Cap() }
 
 // Reserve pre-sizes the store for at least n populated blocks, so a write
 // burst of known footprint doesn't pay repeated table-growth rehashes. It
 // never shrinks and is safe at any time.
-func (s *Store) Reserve(n int) { s.m.reserve(n) }
+func (s *Store) Reserve(n int) { s.m.Reserve(n) }
 
 // Snapshot returns a deep copy of the store, used by tests to compare
 // pre-crash and post-recovery memory images.
 func (s *Store) Snapshot() *Store {
-	return &Store{m: s.m.clone()}
+	return &Store{m: s.m.Clone()}
 }
 
 // Each calls fn for every populated block, in unspecified order. The litmus
 // harness uses it to copy a snapshotted image into a fresh system's store;
 // callers needing a deterministic order should collect and sort.
 func (s *Store) Each(fn func(addr uint64, b Block)) {
-	s.m.each(func(a uint64, e storeEntry) { fn(a, e.b) })
+	s.m.Each(func(a uint64, e storeEntry) { fn(a, e.b) })
 }
 
 // AddressesInRange returns the sorted addresses of populated blocks within
@@ -122,7 +124,7 @@ func (s *Store) Each(fn func(addr uint64, b Block)) {
 // the full (sparse) address space.
 func (s *Store) AddressesInRange(lo, hi uint64) []uint64 {
 	var out []uint64
-	s.m.each(func(a uint64, _ storeEntry) {
+	s.m.Each(func(a uint64, _ storeEntry) {
 		if a >= lo && a < hi {
 			out = append(out, a)
 		}
@@ -136,7 +138,7 @@ func (s *Store) AddressesInRange(lo, hi uint64) []uint64 {
 // previous block content.
 func (s *Store) CorruptByte(addr uint64, byteOffset int, bitMask byte) Block {
 	checkAligned(addr)
-	p := s.m.ref(addr)
+	p := s.m.Ref(addr)
 	old := p.b
 	p.b[byteOffset] ^= bitMask
 	return old

@@ -436,7 +436,9 @@ func RecoverHorusOpts(sys *core.System, ps core.PersistentState, opt Options) (H
 
 // RefillHierarchy installs recovered blocks into a hierarchy as dirty lines
 // (the paper's option of reading them back into the LLC in dirty state).
+// The hierarchy is sized for the whole refill up front, so it never grows.
 func RefillHierarchy(h *hierarchy.Hierarchy, blocks []hierarchy.DirtyBlock) {
+	h.Reserve(h.DirtyCount() + len(blocks))
 	for _, b := range blocks {
 		h.Write(b.Addr, b.Data)
 	}

@@ -20,6 +20,7 @@
 package secmem
 
 import (
+	"repro/internal/addrmap"
 	"repro/internal/bmt"
 	"repro/internal/cache"
 	"repro/internal/cme"
@@ -121,14 +122,10 @@ type Controller struct {
 	macCache  *cache.Cache
 	treeCache *cache.Cache
 
-	// dirtyLine holds the logical content of every dirty metadata line;
-	// clean cached lines equal the NVM content.
-	dirtyLine map[uint64]mem.Block
-
-	// evicting marks lines sitting in the write-back buffer: chosen as a
-	// victim, not yet persisted. Their content stays readable (and
-	// updatable) through dirtyLine while the eviction cascade runs.
-	evicting map[uint64]bool
+	// dirty holds the logical content of every dirty metadata line; clean
+	// cached lines equal the NVM content. It grows on demand: most crash
+	// oracle machines dirty only a handful of lines.
+	dirty addrmap.Map[dirtyEntry]
 
 	// root is the on-chip persistent root register: the content of the
 	// single top tree node (eight MACs of the topmost stored level).
@@ -158,6 +155,16 @@ type Controller struct {
 
 	m  *engineMetrics     // optional crypto-engine instrumentation
 	tl *timeline.Recorder // optional event-timeline recorder
+}
+
+// dirtyEntry is one dirty metadata line: its logical content, and whether it
+// sits in the write-back buffer (chosen as a victim, not yet persisted). An
+// evicting line's content stays readable, and updatable, here while the
+// eviction cascade runs, so the evicting lines are a subset of the dirty
+// ones and leave the table with them.
+type dirtyEntry struct {
+	content  mem.Block
+	evicting bool
 }
 
 // engineMetrics caches metric handles for the issueAES/issueMAC hot paths.
@@ -245,8 +252,6 @@ func New(cfg Config, lay *bmt.Layout, eng *cme.Engine, nvm *mem.Controller) *Con
 		ctrCache:     cache.New("counter$", cfg.CounterCacheBytes, cfg.CacheWays, mem.BlockSize),
 		macCache:     cache.New("mac$", cfg.MACCacheBytes, cfg.CacheWays, mem.BlockSize),
 		treeCache:    cache.New("tree$", cfg.TreeCacheBytes, cfg.CacheWays, mem.BlockSize),
-		dirtyLine:    make(map[uint64]mem.Block),
-		evicting:     make(map[uint64]bool),
 		levelFetches: sim.NewCounterSet(),
 		aes:          sim.NewEngine("aes", clk.Cycles(cfg.AESCycles), clk.Cycles(cfg.AESIICycle)),
 		mac:          sim.NewEngine("mac", clk.Cycles(cfg.MACCycles), clk.Cycles(cfg.MACIICycle)),
@@ -304,8 +309,7 @@ func (c *Controller) Crash() {
 	c.ctrCache.InvalidateAll()
 	c.macCache.InvalidateAll()
 	c.treeCache.InvalidateAll()
-	c.dirtyLine = make(map[uint64]mem.Block)
-	c.evicting = make(map[uint64]bool)
+	c.dirty.Reset()
 }
 
 // ResetStats clears engine timing and MAC counters (the NVM's stats are
@@ -329,10 +333,17 @@ func (c *Controller) cacheFor(level int) *cache.Cache {
 // logicalRead returns the current logical content of a metadata line that
 // is present in a cache: the dirty table if dirty, otherwise NVM content.
 func (c *Controller) logicalRead(addr uint64) mem.Block {
-	if b, ok := c.dirtyLine[addr]; ok {
-		return b
+	if e, ok := c.dirty.Get(addr); ok {
+		return e.content
 	}
 	return c.nvm.PeekRead(addr)
+}
+
+// inWriteBack returns the content of a line sitting in the write-back
+// buffer, and whether it is there.
+func (c *Controller) inWriteBack(addr uint64) (mem.Block, bool) {
+	e, ok := c.dirty.Get(addr)
+	return e.content, ok && e.evicting
 }
 
 // IssueAES exposes the shared AES engine to the drain path: Horus reuses
@@ -392,6 +403,6 @@ func memCategoryFor(level int) mem.Category {
 // markDirty records new logical content for a cached metadata line and sets
 // its dirty bit.
 func (c *Controller) markDirty(ca *cache.Cache, addr uint64, content mem.Block) {
-	c.dirtyLine[addr] = content
+	c.dirty.Ref(addr).content = content
 	ca.Touch(addr, true)
 }

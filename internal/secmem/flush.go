@@ -136,10 +136,10 @@ func (c *Controller) flushToVault(now sim.Time) (VaultRecord, sim.Time) {
 // dirtyLinesOrdered snapshots every dirty metadata line across the three
 // caches in a deterministic order (by address).
 func (c *Controller) dirtyLinesOrdered() []VaultLine {
-	var out []VaultLine
-	for addr, content := range c.dirtyLine {
-		out = append(out, VaultLine{Addr: addr, Content: content})
-	}
+	out := make([]VaultLine, 0, c.dirty.Len())
+	c.dirty.Each(func(addr uint64, e dirtyEntry) {
+		out = append(out, VaultLine{Addr: addr, Content: e.content})
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
@@ -147,7 +147,7 @@ func (c *Controller) dirtyLinesOrdered() []VaultLine {
 // cleanLine clears the dirty state of a metadata line after it has been
 // made persistent (in place or in the vault).
 func (c *Controller) cleanLine(addr uint64) {
-	delete(c.dirtyLine, addr)
+	c.dirty.Delete(addr)
 	level, _, isNode := c.lay.Coord(addr)
 	switch {
 	case isNode:

@@ -228,8 +228,7 @@ func TestProbeBlockMatchesReadBlock(t *testing.T) {
 					{"counter cache", probed.ctrCache, timed.ctrCache},
 					{"MAC cache", probed.macCache, timed.macCache},
 					{"tree cache", probed.treeCache, timed.treeCache},
-					{"dirty-line table", probed.dirtyLine, timed.dirtyLine},
-					{"evicting set", probed.evicting, timed.evicting},
+					{"dirty-line table", dirtyImage(probed), dirtyImage(timed)},
 					{"root register", probed.root, timed.root},
 				} {
 					if !reflect.DeepEqual(st.probed, st.timed) {
@@ -248,6 +247,15 @@ func TestProbeBlockMatchesReadBlock(t *testing.T) {
 			probes, dirtyEvictions, detections, panics)
 	}
 	t.Logf("%d probes, %d dirty evictions, %d detections, %d eviction panics", probes, dirtyEvictions, detections, panics)
+}
+
+// dirtyImage is the dirty-line table's logical contents, every line's
+// content and write-back-buffer flag, independent of where the table's
+// history placed the entries in its slot array.
+func dirtyImage(c *Controller) map[uint64]dirtyEntry {
+	out := map[uint64]dirtyEntry{}
+	c.dirty.Each(func(addr uint64, e dirtyEntry) { out[addr] = e })
+	return out
 }
 
 func dirtyEvictionCount(c *Controller) int64 {

@@ -61,10 +61,10 @@ func (c *Controller) ensureNode(ready sim.Time, level int, index uint64) (mem.Bl
 	if ca.Lookup(addr) {
 		return c.logicalRead(addr), ready, nil
 	}
-	if c.evicting[addr] {
+	if b, ok := c.inWriteBack(addr); ok {
 		// Write-back buffer hit: the line is mid-eviction; its current
 		// content lives in the dirty table until the write-back completes.
-		return c.dirtyLine[addr], ready, nil
+		return b, ready, nil
 	}
 	// Miss: fetch from NVM and verify against the parent, which is fetched
 	// (and verified) recursively until a cached ancestor or the root.
@@ -100,8 +100,8 @@ func (c *Controller) ensureNode(ready sim.Time, level int, index uint64) (mem.Bl
 	if ca.Contains(addr) {
 		return c.logicalRead(addr), t, nil
 	}
-	if c.evicting[addr] {
-		return c.dirtyLine[addr], t, nil
+	if b, ok := c.inWriteBack(addr); ok {
+		return b, t, nil
 	}
 	c.insertLine(t, ca, addr, false, raw)
 	return raw, t, nil
@@ -127,7 +127,7 @@ func (c *Controller) ensureMACBlock(ready sim.Time, addr uint64) (mem.Block, sim
 // write-back happens).
 func (c *Controller) insertLine(ready sim.Time, ca *cache.Cache, addr uint64, dirty bool, content mem.Block) {
 	if dirty {
-		c.dirtyLine[addr] = content
+		c.dirty.Ref(addr).content = content
 	}
 	ev, evicted := ca.Insert(addr, dirty)
 	if !evicted || !ev.Dirty {
@@ -153,8 +153,9 @@ func (c *Controller) insertLine(ready sim.Time, ca *cache.Cache, addr uint64, di
 		// Data-MAC blocks have no parent entry; under the eager scheme
 		// parents were already updated at write time. No cascade can touch
 		// the victim, so write it back directly.
-		c.nvm.Write(ready, ev.Addr, c.dirtyLine[ev.Addr], cat)
-		delete(c.dirtyLine, ev.Addr)
+		e, _ := c.dirty.Get(ev.Addr)
+		c.nvm.Write(ready, ev.Addr, e.content, cat)
+		c.dirty.Delete(ev.Addr)
 		return
 	}
 	// Lazy: recompute the parent entry before persisting the new content,
@@ -163,13 +164,14 @@ func (c *Controller) insertLine(ready sim.Time, ca *cache.Cache, addr uint64, di
 	// buffer (the evicting set): nested cascades may re-read it — or even
 	// update one of its own child entries — through that buffer, in which
 	// case the parent entry is recomputed for the final content.
-	c.evicting[ev.Addr] = true
+	c.dirty.Ref(ev.Addr).evicting = true
 	t := ready
 	for attempt := 0; ; attempt++ {
 		if attempt > 16 {
 			panic("secmem: victim thrashing during eviction")
 		}
-		content := c.dirtyLine[ev.Addr]
+		e, _ := c.dirty.Get(ev.Addr)
+		content := e.content
 		t = c.issueMAC(t, MACTreeUpdate)
 		macVal := c.eng.NodeMAC(level, index, content)
 		if err := c.storeParentEntry(t, level, index, macVal); err != nil {
@@ -177,12 +179,11 @@ func (c *Controller) insertLine(ready sim.Time, ca *cache.Cache, addr uint64, di
 			// NVM was tampered with mid-operation; surface it loudly.
 			panic(fmt.Sprintf("secmem: integrity failure during eviction: %v", err))
 		}
-		if c.dirtyLine[ev.Addr] != content {
+		if e, _ := c.dirty.Get(ev.Addr); e.content != content {
 			continue // a nested cascade updated the victim; redo the entry
 		}
 		c.nvm.Write(t, ev.Addr, content, cat)
-		delete(c.dirtyLine, ev.Addr)
-		delete(c.evicting, ev.Addr)
+		c.dirty.Delete(ev.Addr)
 		return
 	}
 }
@@ -226,12 +227,11 @@ func (c *Controller) updateNodeEntry(ready sim.Time, level int, index uint64, sl
 			c.markDirty(ca, addr, content)
 			return content, t, nil
 		}
-		if c.evicting[addr] {
+		if content, ok := c.inWriteBack(addr); ok {
 			// The node is mid-eviction: update it in the write-back buffer;
 			// the eviction loop recomputes its parent entry afterwards.
-			content := c.dirtyLine[addr]
 			setEntry(&content, slot, macVal)
-			c.dirtyLine[addr] = content
+			c.dirty.Ref(addr).content = content
 			return content, t, nil
 		}
 		// Evicted by a cascade during the fetch; refetch.

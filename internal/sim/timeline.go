@@ -1,6 +1,9 @@
 package sim
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // timeline is a single-server occupancy schedule with gap filling: a
 // reservation may be placed in an earlier idle interval if one fits after
@@ -24,6 +27,13 @@ type timeline struct {
 	// The invariants property suite (invariants_test.go) pins the
 	// equivalence against the naive earliest-fit oracle.
 	maxLen Time
+	// minLen under-estimates the shortest listed gap's length, mirroring
+	// maxLen: it is exact right after an eviction scan and only ever lags
+	// by under-estimating (every insert and shrink lowers it; removals
+	// leave it). A full list drops a new gap no longer than it without
+	// the eviction scan: no listed gap can be strictly smaller, which is
+	// exactly when the scan would drop the new gap too.
+	minLen Time
 }
 
 type gap struct{ start, end Time }
@@ -61,10 +71,13 @@ func (tl *timeline) reserve(ready, dur Time) Time {
 				tl.gaps = append(tl.gaps[:i], tl.gaps[i+1:]...)
 			case s == g.start:
 				tl.gaps[i].start = s + dur
+				tl.minLen = min(tl.minLen, g.end-s-dur)
 			case s+dur == g.end:
 				tl.gaps[i].end = s
+				tl.minLen = min(tl.minLen, s-g.start)
 			default:
 				tl.gaps[i].end = s
+				tl.minLen = min(tl.minLen, s-g.start)
 				tl.insertGap(gap{s + dur, g.end}, i+1)
 			}
 			return s
@@ -102,34 +115,38 @@ func (tl *timeline) insertGap(g gap, i int) {
 	}
 	glen := g.end - g.start
 	if len(tl.gaps) >= maxGaps {
-		// Drop the smallest gap (never this one if it is larger). The scan
-		// already touches every gap, so the exact longest length rides
-		// along and refreshes the maxLen over-estimate.
-		smallest, si := glen, -1
+		if glen <= tl.minLen {
+			return // no listed gap is strictly smaller; drop g unscanned
+		}
+		// Drop the smallest gap (never this one if it is larger; the
+		// lowest start on a tie). The scan already touches every gap, so
+		// the exact longest and the two shortest lengths ride along and
+		// refresh the maxLen and minLen estimates.
+		smallest, runnerUp, si := Time(math.MaxInt64), Time(math.MaxInt64), -1
 		var largest Time
 		for j := range tl.gaps {
 			d := tl.gaps[j].end - tl.gaps[j].start
 			if d < smallest {
-				smallest, si = d, j
+				smallest, runnerUp, si = d, smallest, j
+			} else if d < runnerUp {
+				runnerUp = d
 			}
 			if d > largest {
 				largest = d
 			}
 		}
-		if si < 0 {
-			tl.maxLen = largest
+		if smallest >= glen {
+			tl.maxLen, tl.minLen = largest, smallest
 			return // g itself is the smallest; drop it
 		}
 		if si < i {
 			i--
 		}
 		tl.gaps = append(tl.gaps[:si], tl.gaps[si+1:]...)
-		if glen > largest {
-			largest = glen
-		}
-		tl.maxLen = largest
-	} else if glen > tl.maxLen {
-		tl.maxLen = glen
+		tl.maxLen, tl.minLen = max(largest, glen), min(runnerUp, glen)
+	} else {
+		tl.maxLen = max(tl.maxLen, glen)
+		tl.minLen = min(tl.minLen, glen)
 	}
 	tl.gaps = append(tl.gaps, gap{})
 	copy(tl.gaps[i+1:], tl.gaps[i:])
@@ -140,4 +157,4 @@ func (tl *timeline) insertGap(g gap, i int) {
 func (tl *timeline) freeAt() Time { return tl.tail }
 
 // reset clears the schedule, keeping the gap list's backing array.
-func (tl *timeline) reset() { tl.gaps = tl.gaps[:0]; tl.tail = 0; tl.maxLen = 0 }
+func (tl *timeline) reset() { tl.gaps = tl.gaps[:0]; tl.tail = 0; tl.maxLen = 0; tl.minLen = 0 }
