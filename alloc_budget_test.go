@@ -6,6 +6,8 @@ import (
 	"io"
 	"runtime"
 	"testing"
+
+	"repro/internal/litmus"
 )
 
 // countMallocs returns the number of heap objects allocated while fn runs.
@@ -153,5 +155,44 @@ func TestRecoveryRefillByteBudget(t *testing.T) {
 	t.Logf("drain+crash+recover allocates %d bytes", got)
 	if got > ceiling {
 		t.Errorf("drain+crash+recover allocates %d bytes, budget %d", got, ceiling)
+	}
+}
+
+// TestLitmusOracleByteBudget gates the bytes a small litmus run allocates:
+// one scheme (Horus-SLM) on the default litmus workload, two epochs, eight
+// orderings per epoch and the single-bit coverage sweep, serially. Every
+// ordering cell and coverage trial starts from a crash image; copying a
+// prebuilt image into a recycled store allocates nothing per cell, where
+// reserving and replaying a fresh store per cell allocated a
+// final-image-sized table each time.
+//
+// The ceiling is the bytes measured with go1.24 on linux/amd64 plus 10%,
+// rounded down: 14,872,264 without -race, 15,042,872 with it (33,522,680
+// and 34,091,200 with a fresh store reserved per cell).
+func TestLitmusOracleByteBudget(t *testing.T) {
+	const ceiling = 16_359_490
+	cfg := TestConfig()
+	cfg.Shards = 1
+	lc := LitmusConfig{
+		Config:       cfg,
+		Schemes:      []Scheme{HorusSLM},
+		MaxEpochs:    2,
+		MaxOrderings: 8,
+		Corrupt:      []CorruptionModel{litmus.SingleBit},
+	}
+	var rep *LitmusReport
+	var err error
+	got := countBytes(func() {
+		rep, err = RunLitmus(context.Background(), lc, SweepOptions{Parallel: 1})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() {
+		t.Fatalf("litmus run has failures: %v", rep.Failures())
+	}
+	t.Logf("litmus run allocates %d bytes (%d ordering cells, %d coverage cells)", got, len(rep.Cells), len(rep.Coverage))
+	if got > ceiling {
+		t.Errorf("litmus run allocates %d bytes, budget %d", got, ceiling)
 	}
 }

@@ -294,8 +294,9 @@ func newCoreSystem(cfg Config, scheme Scheme, withSec bool, labels ...string) (*
 		CHVRegions:  uint64(cfg.CHVRegions),
 		VaultBlocks: metaLines*2 + 32,
 	})
-	// The store starts empty and grows on demand; callers that know the
-	// machine's footprint (NewSystem, the litmus materialiser) reserve it.
+	// The store starts empty and grows on demand; NewSystem reserves the
+	// machine's footprint, and the litmus materialiser swaps in a recycled
+	// store holding a presized image.
 	nvm := mem.NewController(cfg.Mem)
 	enc := cme.NewEngine(cfg.KeySeed)
 	var sec *secmem.Controller

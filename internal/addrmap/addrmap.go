@@ -181,3 +181,18 @@ func (m *Map[V]) Clone() Map[V] {
 	}
 	return out
 }
+
+// CopyFrom makes m a slot-for-slot copy of src: the same entries in the same
+// slots, so Each visits them in src's order and later insertions land where
+// they would in src. When m's arrays already have src's length they are
+// overwritten in place, so a table recycled against one source allocates
+// nothing; otherwise m takes a fresh Clone.
+func (m *Map[V]) CopyFrom(src *Map[V]) {
+	if len(m.keys) != len(src.keys) {
+		*m = src.Clone()
+		return
+	}
+	copy(m.keys, src.keys)
+	copy(m.vals, src.vals)
+	m.n = src.n
+}

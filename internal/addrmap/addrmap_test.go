@@ -41,6 +41,7 @@ const (
 	opReserve
 	opClone
 	opReset
+	opCopyFrom
 	opCount
 )
 
@@ -99,9 +100,82 @@ func (r *modelRun) apply(code, idx int, v int64) {
 	case opReset:
 		r.m.Reset()
 		clear(r.ref)
+	case opCopyFrom:
+		r.copyFrom(idx%4, addr, v)
 	}
 	r.step++
 	r.check(&r.m)
+}
+
+// copyFrom exercises one CopyFrom shape: the model's table copied into a
+// table of the same slot count (which must be overwritten in place), of a
+// different slot count, into an empty table, or an empty table (zero value,
+// or allocated with no entries) copied over a copy of the model's table.
+func (r *modelRun) copyFrom(shape int, addr uint64, v int64) {
+	t := r.t
+	src := &r.m
+	var dst Map[int64]
+	switch shape {
+	case 0, 1:
+		slots := len(src.keys)
+		if shape == 1 {
+			slots = max(2*slots, minSlots)
+			if v&1 == 1 && len(src.keys) > minSlots {
+				slots = len(src.keys) / 2
+			}
+		}
+		dst = Map[int64]{keys: make([]uint64, slots), vals: make([]int64, slots)}
+		for i := 0; i < dst.Cap()/2; i++ {
+			*dst.Ref(r.pool[(int(addr>>6)+i*7)%len(r.pool)]) = int64(i)
+		}
+	case 3:
+		dst = src.Clone()
+		*dst.Ref(addr) = v
+		empty := Map[int64]{}
+		if v&1 == 1 {
+			empty = Map[int64]{keys: make([]uint64, len(dst.keys)), vals: make([]int64, len(dst.keys))}
+		}
+		dst.CopyFrom(&empty)
+		if dst.Len() != 0 || len(dst.keys) != len(empty.keys) {
+			t.Fatalf("step %d: copy of an empty table holds %d entries in %d slots, want 0 in %d", r.step, dst.Len(), len(dst.keys), len(empty.keys))
+		}
+		dst.Each(func(a uint64, _ int64) { t.Fatalf("step %d: copy of an empty table visits %#x", r.step, a) })
+		*dst.Ref(addr) = v
+		if got, ok := dst.Get(addr); !ok || got != v || dst.Len() != 1 {
+			t.Fatalf("step %d: insert into a copy of an empty table: Get = (%d, %v), Len %d", r.step, got, ok, dst.Len())
+		}
+		return
+	}
+	inPlace := shape == 0 && len(src.keys) > 0
+	var slot0 *uint64
+	if inPlace {
+		slot0 = &dst.keys[0]
+	}
+	dst.CopyFrom(src)
+	if inPlace && &dst.keys[0] != slot0 {
+		t.Fatalf("step %d: CopyFrom into a same-size table reallocated it", r.step)
+	}
+	r.check(&dst)
+	// Slot for slot: Each visits the same entries in the same order.
+	type kv struct {
+		a uint64
+		v int64
+	}
+	var want, got []kv
+	src.Each(func(a uint64, v int64) { want = append(want, kv{a, v}) })
+	dst.Each(func(a uint64, v int64) { got = append(got, kv{a, v}) })
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("step %d: copy visits %#x -> %d at position %d, source %#x -> %d", r.step, got[i].a, got[i].v, i, want[i].a, want[i].v)
+		}
+	}
+	// Writes to the copy must not reach the source (apply's closing check
+	// compares the source with the reference).
+	*dst.Ref(addr) = v ^ 1
+	dst.Delete(r.pool[(int(addr>>6)+1)%len(r.pool)])
+	for i := 0; i < 200; i++ {
+		*dst.Ref(r.pool[(int(addr>>6)+3*i)%len(r.pool)])++
+	}
 }
 
 // check requires m to hold exactly the reference entries and every occupied
@@ -135,8 +209,8 @@ func (r *modelRun) check(m *Map[int64]) {
 }
 
 // TestAddrMapDifferentialVsMap drives the table and a plain Go map through
-// the same random insert, overwrite, delete, get, reserve, clone and reset
-// sequence and requires identical contents after every step. Deletes are
+// the same random insert, overwrite, delete, get, reserve, clone, reset and
+// copy sequence and requires identical contents after every step. Deletes are
 // frequent enough that the table repeatedly grows and drains, and the
 // clustered addresses force backward shifts across the array's end.
 func TestAddrMapDifferentialVsMap(t *testing.T) {
@@ -158,8 +232,10 @@ func TestAddrMapDifferentialVsMap(t *testing.T) {
 			code = opHas
 		case p < 985:
 			code = opReserve
-		case p < 997:
+		case p < 991:
 			code = opClone
+		case p < 997:
+			code = opCopyFrom
 		default:
 			code = opReset
 		}
@@ -204,6 +280,16 @@ func FuzzAddrMap(f *testing.F) {
 		wrap = append(wrap, opDelete, 128+k, 0)
 	}
 	f.Add(wrap)
+	// Fill past one growth, then each CopyFrom shape: same size, different
+	// size, into empty, from empty.
+	var cp []byte
+	for k := byte(0); k < 60; k++ {
+		cp = append(cp, opSet, k, k)
+	}
+	for shape := byte(0); shape < 4; shape++ {
+		cp = append(cp, opCopyFrom, shape, shape)
+	}
+	f.Add(cp)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := newModelRun(t)
 		for i := 0; i+2 < len(data); i += 3 {

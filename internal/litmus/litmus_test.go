@@ -1,8 +1,11 @@
 package litmus
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -179,6 +182,42 @@ func TestOrderingsSampledProperties(t *testing.T) {
 	}
 	if kinds["sampled"] == 0 {
 		t.Errorf("no sampled orderings generated: %v", kinds)
+	}
+}
+
+// fmtKey is Ordering.Key as first written, with fmt: the reference the
+// allocation-lean Key must match byte for byte, since keys deduplicate
+// generated orderings and so fix which cells a run explores.
+func fmtKey(o Ordering) string {
+	s := append([]int(nil), o.Applied...)
+	sort.Ints(s)
+	var b strings.Builder
+	for _, v := range s {
+		fmt.Fprintf(&b, "%x,", v)
+	}
+	return b.String()
+}
+
+// TestOrderingKeyMatchesFmt compares Key against fmtKey over random applied
+// sets of random sizes (indices spanning one to four hex digits, in random
+// landing order), plus the empty and nil sets.
+func TestOrderingKeyMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cases := []Ordering{{}, {Applied: []int{}}, {Applied: []int{0}}, {Applied: []int{15, 16, 255, 256, 4095, 4096}}}
+	for i := 0; i < 2000; i++ {
+		n := rng.Intn(40)
+		limit := []int{16, 256, 4096, 70000}[rng.Intn(4)]
+		applied := rng.Perm(limit)[:min(n, limit)]
+		cases = append(cases, Ordering{Kind: "sampled", Applied: applied})
+	}
+	for _, o := range cases {
+		before := append([]int(nil), o.Applied...)
+		if got, want := o.Key(), fmtKey(o); got != want {
+			t.Fatalf("Key(%v) = %q, want %q", o.Applied, got, want)
+		}
+		if !reflect.DeepEqual(before, o.Applied) && len(before) > 0 {
+			t.Fatalf("Key reordered Applied: %v -> %v", before, o.Applied)
+		}
 	}
 }
 

@@ -1,9 +1,8 @@
 package litmus
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Ordering is one admissible crash state of an epoch: the subset of the
@@ -29,11 +28,14 @@ func (o Ordering) Complete(n int) bool { return len(o.Applied) == n }
 func (o Ordering) Key() string {
 	s := append([]int(nil), o.Applied...)
 	sort.Ints(s)
-	var b strings.Builder
+	// Lower-case hex plus a comma per index: at most four bytes for epochs
+	// under 4,096 writes, so one buffer and one string conversion suffice.
+	b := make([]byte, 0, 4*len(s))
 	for _, v := range s {
-		fmt.Fprintf(&b, "%x,", v)
+		b = strconv.AppendInt(b, int64(v), 16)
+		b = append(b, ',')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Options bounds ordering generation for one epoch.

@@ -216,6 +216,11 @@ func (c *Controller) SetTimeline(rec *timeline.Recorder) {
 // Store exposes the functional backing store (for tests and recovery).
 func (c *Controller) Store() *Store { return c.store }
 
+// UseStore replaces the backing store of a freshly built controller, before
+// any access, so a caller holding a prepared image (the litmus oracle's
+// recycled crash stores) need not copy it in block by block.
+func (c *Controller) UseStore(s *Store) { c.store = s }
+
 // Reserve pre-sizes the backing store (fused block content + wear entries)
 // for an expected footprint of n populated blocks (see Store.Reserve).
 // Without it the store grows on demand.

@@ -44,9 +44,9 @@ func (k FaultKind) String() string {
 // Fault describes the corruption to apply to a single write.
 type Fault struct {
 	Kind      FaultKind
-	Byte      int   // FaultFlip: byte offset within the block (mod BlockSize)
-	Mask      byte  // FaultFlip: XOR mask; zero masks are promoted to 1
-	TornBytes int   // FaultTear: bytes of the new data that land (clamped to [1, BlockSize))
+	Byte      int  // FaultFlip: byte offset within the block (mod BlockSize)
+	Mask      byte // FaultFlip: XOR mask; zero masks are promoted to 1
+	TornBytes int  // FaultTear: bytes of the new data that land (clamped to [1, BlockSize))
 }
 
 // FaultInjector is consulted by the controller on every durable write and at

@@ -112,6 +112,12 @@ func (s *Store) Snapshot() *Store {
 	return &Store{m: s.m.Clone()}
 }
 
+// CopyFrom makes s a slot-for-slot copy of src: the same blocks, wear counts
+// and table layout, so iteration order and later insertions match src. A
+// store whose table already has src's size is overwritten in place without
+// allocating, which lets the litmus oracle recycle one store across cells.
+func (s *Store) CopyFrom(src *Store) { s.m.CopyFrom(&src.m) }
+
 // Each calls fn for every populated block, in unspecified order. The litmus
 // harness uses it to copy a snapshotted image into a fresh system's store;
 // callers needing a deterministic order should collect and sort.

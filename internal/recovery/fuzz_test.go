@@ -79,12 +79,12 @@ func requireTyped(t *testing.T, err error) {
 // *recovery.Error (or wrapped secmem.IntegrityError).
 func FuzzRecoverHorus(f *testing.F) {
 	fx := newFuzzFixture(f, core.HorusSLM)
-	f.Add(fx.ps.DC, fx.ps.EDC, fx.ps.CHVRegion, uint64(0), uint8(0), uint8(0))       // unmutated
-	f.Add(fx.ps.DC, fx.ps.EDC+1, fx.ps.CHVRegion, uint64(0), uint8(0), uint8(0))     // EDC off by one
-	f.Add(fx.ps.DC, uint64(1)<<60, fx.ps.CHVRegion, uint64(0), uint8(0), uint8(0))   // absurd EDC
-	f.Add(uint64(0), fx.ps.EDC, fx.ps.CHVRegion, uint64(0), uint8(0), uint8(0))      // DC < EDC
-	f.Add(fx.ps.DC, fx.ps.EDC, uint64(1)<<40, uint64(0), uint8(0), uint8(0))         // region out of range
-	f.Add(fx.ps.DC, fx.ps.EDC, fx.ps.CHVRegion, uint64(5), uint8(3), uint8(0x10))    // flip a CHV byte
+	f.Add(fx.ps.DC, fx.ps.EDC, fx.ps.CHVRegion, uint64(0), uint8(0), uint8(0))     // unmutated
+	f.Add(fx.ps.DC, fx.ps.EDC+1, fx.ps.CHVRegion, uint64(0), uint8(0), uint8(0))   // EDC off by one
+	f.Add(fx.ps.DC, uint64(1)<<60, fx.ps.CHVRegion, uint64(0), uint8(0), uint8(0)) // absurd EDC
+	f.Add(uint64(0), fx.ps.EDC, fx.ps.CHVRegion, uint64(0), uint8(0), uint8(0))    // DC < EDC
+	f.Add(fx.ps.DC, fx.ps.EDC, uint64(1)<<40, uint64(0), uint8(0), uint8(0))       // region out of range
+	f.Add(fx.ps.DC, fx.ps.EDC, fx.ps.CHVRegion, uint64(5), uint8(3), uint8(0x10))  // flip a CHV byte
 	f.Fuzz(func(t *testing.T, dc, edc, region, corruptSlot uint64, corruptOff, corruptMask uint8) {
 		sys := fx.freshSystem(t)
 		if corruptMask != 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/bmt"
 	"repro/internal/core"
@@ -317,6 +318,17 @@ type litmusEpisode struct {
 	// barrier; the final epoch's entry is the drain's full persist record
 	// (vault + root included).
 	snaps []PersistentState
+	// base and complete are the crash images every cell starts from, built
+	// once and only ever read: base is pre copied into a table sized for the
+	// final image (the layout a cell's replayed writes extend), complete is
+	// base with every recorded write replayed.
+	base     *mem.Store
+	complete *mem.Store
+	// spare holds stores handed back by finished cells. A cell copies an
+	// image into one instead of reserving a fresh table; the list dies with
+	// the episode, so nothing outlives the run.
+	mu    sync.Mutex
+	spare []*mem.Store
 }
 
 // recordLitmusEpisode runs the workload and records one fault-free drain
@@ -355,18 +367,54 @@ func recordLitmusEpisode(cfg Config, scheme Scheme, w *Workload) (*litmusEpisode
 	// taken at their barrier.
 	ep.snaps[len(ep.snaps)-1] = res.Persist
 	ep.final = ws.Core.NVM.Store().Snapshot()
+	// The final image holds every block a materialised image can, so no
+	// cell's replay grows base's table.
+	ep.base = mem.NewStore()
+	ep.base.Reserve(ep.final.Populated())
+	ep.pre.Each(func(a uint64, b mem.Block) { ep.base.WriteBlock(a, b) })
+	ep.complete = ep.base.Snapshot()
+	for _, w := range ep.writes {
+		ep.complete.WriteBlock(w.Addr, w.Data)
+	}
 	return ep, nil
 }
 
-// materialize builds a fresh crashed system holding the recorded image with
-// every write before epoch ei durable plus the applied subset (epoch-relative
-// indices) of epoch ei, ready for recovery under the epoch's register file.
-func (ep *litmusEpisode) materialize(cfg Config, ei int, applied []int) *core.System {
+// crashed builds a fresh crashed system over a recycled copy of img, ready
+// for recovery under epoch ei's register file. The caller hands the system's
+// store back with release once the oracle is done with it.
+func (ep *litmusEpisode) crashed(cfg Config, img *mem.Store, ei int) *core.System {
+	var st *mem.Store
+	ep.mu.Lock()
+	if n := len(ep.spare); n > 0 {
+		st, ep.spare = ep.spare[n-1], ep.spare[:n-1]
+	}
+	ep.mu.Unlock()
+	if st == nil {
+		st = mem.NewStore()
+	}
+	st.CopyFrom(img)
 	sys, _ := newCoreSystem(cfg, ep.scheme, true)
+	sys.NVM.UseStore(st)
+	sys.Sec.Crash()
+	sys.Sec.RestoreRoot(ep.snaps[ei].Root)
+	return sys
+}
+
+// release returns a crashed system's store to the episode for reuse. The
+// system must not be used afterwards.
+func (ep *litmusEpisode) release(sys *core.System) {
+	ep.mu.Lock()
+	ep.spare = append(ep.spare, sys.NVM.Store())
+	ep.mu.Unlock()
+}
+
+// materialize builds a crashed system holding the recorded image with every
+// write before epoch ei durable plus the applied subset (epoch-relative
+// indices) of epoch ei, ready for recovery under the epoch's register file.
+// Release it when done.
+func (ep *litmusEpisode) materialize(cfg Config, ei int, applied []int) *core.System {
+	sys := ep.crashed(cfg, ep.base, ei)
 	st := sys.NVM.Store()
-	// The final image holds every block the materialised image can.
-	st.Reserve(ep.final.Populated())
-	ep.pre.Each(func(a uint64, b mem.Block) { st.WriteBlock(a, b) })
 	e := ep.epochs[ei]
 	for _, w := range ep.writes[:e.Lo] {
 		st.WriteBlock(w.Addr, w.Data)
@@ -375,8 +423,6 @@ func (ep *litmusEpisode) materialize(cfg Config, ei int, applied []int) *core.Sy
 		w := ep.writes[e.Lo+i]
 		st.WriteBlock(w.Addr, w.Data)
 	}
-	sys.Sec.Crash()
-	sys.Sec.RestoreRoot(ep.snaps[ei].Root)
 	return sys
 }
 
@@ -385,23 +431,12 @@ func (ep *litmusEpisode) materialize(cfg Config, ei int, applied []int) *core.Sy
 // and dropped here.
 func (ep *litmusEpisode) classifyOrdering(cfg Config, ei int, o litmus.Ordering) (CrashOutcome, string, *Forensic) {
 	sys := ep.materialize(cfg, ei, o.Applied)
+	defer ep.release(sys)
 	ps := ep.snaps[ei]
 	complete := o.Complete(ep.epochs[ei].Size())
 	interrupted := !(ei == len(ep.epochs)-1 && complete)
 	out, detail, forensic, _ := classifyOutcome(sys, ps, ep.golden, ep.blocks, interrupted)
 	return out, detail, forensic
-}
-
-// lastEpochComplete returns the applied set that makes the final epoch —
-// and therefore the whole drain image — complete.
-func (ep *litmusEpisode) lastEpochComplete() (int, []int) {
-	ei := len(ep.epochs) - 1
-	n := ep.epochs[ei].Size()
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	return ei, all
 }
 
 // probeAddrs returns the sorted populated data-region addresses of the
@@ -447,8 +482,9 @@ var coverageRegions = []bmt.Region{
 // and records each probe address's plaintext — the baseline a corrupted
 // trial's reads are compared against.
 func (ep *litmusEpisode) referenceProbe(cfg Config, addrs []uint64) (map[uint64]mem.Block, error) {
-	ei, all := ep.lastEpochComplete()
-	sys := ep.materialize(cfg, ei, all)
+	ei := len(ep.epochs) - 1
+	sys := ep.crashed(cfg, ep.complete, ei)
+	defer ep.release(sys)
 	ps := ep.snaps[ei]
 	if err := ep.recoverFor(sys, ps); err != nil {
 		return nil, fmt.Errorf("horus: reference recovery on %v: %w", ep.scheme, err)
@@ -493,8 +529,9 @@ func (ep *litmusEpisode) recoverFor(sys *core.System, ps PersistentState) error 
 // verdict ("detected", "silent", "masked" or "internal") plus, for a
 // detection, its forensic provenance.
 func (ep *litmusEpisode) coverageTrial(cfg Config, model CorruptionModel, victim uint64, seed uint64, ref map[uint64]mem.Block, addrs []uint64) (string, string, *Forensic) {
-	ei, all := ep.lastEpochComplete()
-	sys := ep.materialize(cfg, ei, all)
+	ei := len(ep.epochs) - 1
+	sys := ep.crashed(cfg, ep.complete, ei)
+	defer ep.release(sys)
 	sys.Evlog = evlog.New(evlog.DefaultChainLimit)
 	ps := ep.snaps[ei]
 	st := sys.NVM.Store()

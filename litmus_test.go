@@ -2,11 +2,14 @@ package horus
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/litmus"
+	"repro/internal/mem"
 )
 
 // smallLitmusWorkload keeps test-suite litmus runs fast: a stream the size
@@ -175,4 +178,150 @@ func FuzzLitmusOrdering(f *testing.F) {
 			t.Fatalf("%v epoch %d seed %#x: %v (%s) applied=%v", scheme, ei, seed, out, detail, o.Applied)
 		}
 	})
+}
+
+// refMaterialize is the materialiser as first written, kept as the
+// reference for the recycled one: a fresh store reserved for the final
+// image, the pre-drain image copied in block by block, then every write
+// before epoch ei and the applied subset of epoch ei replayed.
+func (ep *litmusEpisode) refMaterialize(cfg Config, ei int, applied []int) *core.System {
+	sys, _ := newCoreSystem(cfg, ep.scheme, true)
+	st := sys.NVM.Store()
+	st.Reserve(ep.final.Populated())
+	ep.pre.Each(func(a uint64, b mem.Block) { st.WriteBlock(a, b) })
+	e := ep.epochs[ei]
+	for _, w := range ep.writes[:e.Lo] {
+		st.WriteBlock(w.Addr, w.Data)
+	}
+	for _, i := range applied {
+		w := ep.writes[e.Lo+i]
+		st.WriteBlock(w.Addr, w.Data)
+	}
+	sys.Sec.Crash()
+	sys.Sec.RestoreRoot(ep.snaps[ei].Root)
+	return sys
+}
+
+// diffImages describes the first difference between two NVM images —
+// populated count, table capacity, Each order and content, wear — or
+// returns "" when they are identical.
+func diffImages(got, want *mem.Controller) string {
+	gs, ws := got.Store(), want.Store()
+	if gs.Populated() != ws.Populated() || gs.Cap() != ws.Cap() {
+		return fmt.Sprintf("Populated/Cap %d/%d, want %d/%d", gs.Populated(), gs.Cap(), ws.Populated(), ws.Cap())
+	}
+	type blk struct {
+		a uint64
+		b mem.Block
+	}
+	var ga, wa []blk
+	gs.Each(func(a uint64, b mem.Block) { ga = append(ga, blk{a, b}) })
+	ws.Each(func(a uint64, b mem.Block) { wa = append(wa, blk{a, b}) })
+	for i := range wa {
+		if ga[i] != wa[i] {
+			return fmt.Sprintf("Each position %d: block %#x (content equal: %v), want %#x", i, ga[i].a, ga[i].b == wa[i].b, wa[i].a)
+		}
+	}
+	if g, w := got.WearStats(), want.WearStats(); g != w {
+		return fmt.Sprintf("wear %+v, want %+v", g, w)
+	}
+	return ""
+}
+
+// TestLitmusMaterializeMatchesReference checks the recycled materialiser
+// against refMaterialize on every secure scheme: several orderings of each
+// epoch and the complete image must match in content, populated count,
+// table capacity, Each order and wear. One store serves every cell,
+// including after it comes back from a recovery and a coverage corruption
+// (wear and extra content to undo) and after it grew past base's size (the
+// reallocation path).
+func TestLitmusMaterializeMatchesReference(t *testing.T) {
+	cfg := TestConfig()
+	// The default workload, not the small one: its drain populates enough
+	// blocks past the pre-drain image that base's table is larger than
+	// pre's, so slot layout (not just content) is under test.
+	w := defaultLitmusWorkload(cfg.Seed)
+	for _, s := range []Scheme{BaseLU, BaseEU, HorusSLM, HorusDLM} {
+		ep, err := recordLitmusEpisode(cfg, s, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ep.base.Cap() == ep.pre.Cap() {
+			t.Fatalf("%v: base and pre tables have the same capacity %d; slot layout is untested", s, ep.base.Cap())
+		}
+		var store *mem.Store
+		check := func(label string, got, want *core.System) {
+			t.Helper()
+			if store == nil {
+				store = got.NVM.Store()
+			} else if got.NVM.Store() != store {
+				t.Fatalf("%v %s: cell got a new store instead of the recycled one", s, label)
+			}
+			if d := diffImages(got.NVM, want.NVM); d != "" {
+				t.Fatalf("%v %s: %s", s, label, d)
+			}
+			ep.release(got)
+		}
+		orderings := func(ei int) []litmus.Ordering {
+			e := ep.epochs[ei]
+			ords := litmus.Orderings(ep.writes[e.Lo:e.Hi], litmus.Options{Seed: uint64(ei) + 1, MaxOrderings: 4})
+			return ords[:min(len(ords), 4)]
+		}
+		for ei := range ep.epochs {
+			for _, o := range orderings(ei) {
+				check(fmt.Sprintf("epoch %d %s%v", ei, o.Kind, o.Applied), ep.materialize(cfg, ei, o.Applied), ep.refMaterialize(cfg, ei, o.Applied))
+			}
+		}
+		last := len(ep.epochs) - 1
+		all := make([]int, ep.epochs[last].Size())
+		for i := range all {
+			all[i] = i
+		}
+		check("complete", ep.crashed(cfg, ep.complete, last), ep.refMaterialize(cfg, last, all))
+
+		// Recovery writes (and wears) the store; a corruption changes one
+		// victim. Both must be gone from the next cell's image.
+		addrs := ep.probeAddrs()
+		ref, err := ep.referenceProbe(cfg, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pool []uint64
+		for _, region := range coverageRegions {
+			if pool = ep.victimPool(region, false); len(pool) > 0 {
+				break
+			}
+		}
+		if verdict, detail, _ := ep.coverageTrial(cfg, litmus.SingleBit, pool[0], 3, ref, addrs); verdict == "silent" || verdict == "internal" {
+			t.Fatalf("%v: single-bit trial on %#x: %s (%s)", s, pool[0], verdict, detail)
+		}
+		if len(ep.spare) != 1 || ep.spare[0] != store {
+			t.Fatalf("%v: %d spare stores after the coverage trial, want the one recycled store", s, len(ep.spare))
+		}
+		if d := diffImages(storeController(store), ep.refMaterialize(cfg, last, all).NVM); d == "" {
+			t.Fatalf("%v: recovery and corruption left the recycled store unchanged", s)
+		}
+		for _, o := range orderings(0) {
+			check(fmt.Sprintf("after recovery: epoch 0 %s%v", o.Kind, o.Applied), ep.materialize(cfg, 0, o.Applied), ep.refMaterialize(cfg, 0, o.Applied))
+		}
+
+		// Grow the recycled store's table past base's capacity.
+		sys := ep.materialize(cfg, last, nil)
+		st := sys.NVM.Store()
+		for i := 0; st.Cap() <= ep.base.Cap(); i++ {
+			st.WriteBlock(1<<40+uint64(i)*mem.BlockSize, mem.Block{0: 1})
+		}
+		ep.release(sys)
+		for _, o := range orderings(last) {
+			check(fmt.Sprintf("after growth: epoch %d %s%v", last, o.Kind, o.Applied), ep.materialize(cfg, last, o.Applied), ep.refMaterialize(cfg, last, o.Applied))
+		}
+	}
+}
+
+// storeController wraps a bare store in a controller so diffImages can read
+// its wear.
+func storeController(st *mem.Store) *mem.Controller {
+	c := mem.NewController(TestConfig().Mem)
+	c.UseStore(st)
+	return c
 }
