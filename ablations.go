@@ -140,7 +140,7 @@ func ablateTreeProfile(ctx context.Context, cfg Config, opts SweepOptions) (*rep
 		Label: "tree-profile/Base-LU",
 		Run: func(ctx context.Context, env EpisodeEnv) (any, error) {
 			c := cfg
-			c.Metrics = env.Metrics
+			c.Probe = env.Probe
 			sys := NewSystem(c, BaseLU)
 			if err := sys.Warmup(); err != nil {
 				return nil, err
@@ -181,7 +181,7 @@ func ablateRecovery(ctx context.Context, cfg Config, opts SweepOptions) (*report
 		Label: "recovery-model/Horus-SLM",
 		Run: func(ctx context.Context, env EpisodeEnv) (any, error) {
 			c := cfg
-			c.Metrics = env.Metrics
+			c.Probe = env.Probe
 			sys := NewSystem(c, HorusSLM)
 			if err := sys.Warmup(); err != nil {
 				return nil, err

@@ -1,6 +1,7 @@
 package horus
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,40 @@ func TestRunAblationsTestScale(t *testing.T) {
 	// The tree profile must include the counter level.
 	if !strings.Contains(a.TreeProfile.String(), "L0") {
 		t.Error("tree profile missing L0")
+	}
+}
+
+// TestAblationEpisodesForkTheProbe pins a deliberate output change: the two
+// custom ablation episodes run against forked sinks like every grid point,
+// so each of their series carries the episode's "point" label, and the
+// caller's recorders are left untouched.
+func TestAblationEpisodesForkTheProbe(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Timeline = NewTimelineRecorder(0)
+	cfg.Timeseries = NewTimeseriesSampler(0, 0)
+	cfg.Evlog = NewEvlog(0)
+	ctx := context.Background()
+	if _, err := ablateTreeProfile(ctx, cfg, SweepOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ablateRecovery(ctx, cfg, SweepOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	points := map[string]string{"Base-LU": "tree-profile/Base-LU", "Horus-SLM": "recovery-model/Horus-SLM"}
+	seen := map[string]int{}
+	for _, s := range cfg.Timeseries.Snapshot().Series {
+		if want := points[s.Labels["scheme"]]; s.Labels["point"] != want {
+			t.Errorf("series %s %v: point label %q, want %q", s.Name, s.Labels, s.Labels["point"], want)
+		}
+		seen[s.Labels["point"]]++
+	}
+	for _, p := range points {
+		if seen[p] == 0 {
+			t.Errorf("no series labelled point=%q", p)
+		}
+	}
+	if cfg.Timeline.Len() != 0 || cfg.Evlog.Len() != 0 {
+		t.Errorf("caller's recorders hold %d events and %d records, want none", cfg.Timeline.Len(), cfg.Evlog.Len())
 	}
 }
 

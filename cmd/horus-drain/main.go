@@ -73,7 +73,7 @@ func main() {
 		var rec *trace.Recorder
 		if *traceFile != "" {
 			rec = trace.NewRecorder(*traceLimit)
-			sys.Core.NVM.AddObserver(rec)
+			sys.Core.NVM.SetObserver(rec)
 		}
 		if err := sys.Warmup(); err != nil {
 			return cliutil.ExitFail, err

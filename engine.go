@@ -4,15 +4,15 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/obs/timeseries"
 	"repro/internal/sweep"
 )
 
 // SweepOptions configures how experiment grids execute. The zero value is
 // the library's historical behavior apart from scheduling: episodes may run
 // on all cores. Results are independent of Parallel by construction — every
-// episode builds its own System and the engine merges metrics in episode
-// order — so -parallel N output is byte-identical to sequential output.
+// episode builds its own System against its own fork of the telemetry
+// sinks, and the engine merges them back in episode order — so -parallel N
+// output is byte-identical to sequential output.
 type SweepOptions struct {
 	// Parallel bounds the episode worker pool; <= 0 means GOMAXPROCS.
 	Parallel int
@@ -49,8 +49,8 @@ type PointResult struct {
 	Point    DrainPoint
 	Result   Result
 	Recovery *RecoveryReport // non-nil when Point.Recover and recovery ran
-	// Timeline is the episode's drain recording, non-nil when the point's
-	// Config.Timeline requested tracing.
+	// Timeline is the episode's drain recording, non-nil when the grid's
+	// Config.Timeline (that of points[0]) requested tracing.
 	Timeline *TimelineRecording
 	Err      error
 }
@@ -60,37 +60,26 @@ type pointValue struct {
 	res Result
 	rec *RecoveryReport
 	tl  *TimelineRecording
-	ts  *TimeseriesSampler // per-episode sampler (merged into the sink in order)
 }
 
 // RunDrainGrid executes the points through the episode engine: a bounded
 // worker pool (SweepOptions.Parallel), context cancellation, per-episode
-// panic capture, and deterministic metrics aggregation.
+// panic capture, and deterministic telemetry aggregation.
 //
-// Metrics: episodes never share a registry. Each point's Config.Metrics is
-// replaced with a fresh per-episode registry, and the original registry —
-// the first non-nil one among the points, normally the one registry every
-// point inherited from the base Config — receives all of them via ordered
-// post-hoc merge.
+// Telemetry: episodes never share a sink. The engine forks the probe of
+// points[0].Config — normally the one probe every point inherited from the
+// base Config — per episode, runs each point against its fork (time series
+// labelled with the point), and merges every episode's metrics and time
+// series back into it in episode order.
 //
 // Errors are collected per episode: the returned slice always has one entry
 // per point (completed points carry their Result even when others failed),
 // and the returned error, when non-nil, is a *SweepError aggregating every
 // failed point.
 func RunDrainGrid(ctx context.Context, points []DrainPoint, opts SweepOptions) ([]PointResult, error) {
-	var sink *MetricsRegistry
-	var tsSink *TimeseriesSampler
-	var baseSeed int64
-	for i := range points {
-		if sink == nil {
-			sink = points[i].Config.Metrics
-		}
-		if tsSink == nil {
-			tsSink = points[i].Config.Timeseries
-		}
-	}
+	var base Config
 	if len(points) > 0 {
-		baseSeed = points[0].Config.Seed
+		base = points[0].Config
 	}
 
 	eps := make([]sweep.Episode, len(points))
@@ -108,8 +97,8 @@ func RunDrainGrid(ctx context.Context, points []DrainPoint, opts SweepOptions) (
 	runner := sweep.New(sweep.Options{
 		Parallel: opts.Parallel,
 		Timeout:  opts.Timeout,
-		BaseSeed: baseSeed,
-		Metrics:  sink,
+		BaseSeed: base.Seed,
+		Probe:    base.Probe,
 		Progress: opts.Progress,
 	})
 	results, err := runner.Run(ctx, eps)
@@ -121,10 +110,6 @@ func RunDrainGrid(ctx context.Context, points []DrainPoint, opts SweepOptions) (
 			out[i].Result = v.res
 			out[i].Recovery = v.rec
 			out[i].Timeline = v.tl
-			// Deterministic post-hoc aggregation, exactly like metrics:
-			// per-episode samplers merge into the base sampler in episode
-			// order regardless of completion order.
-			tsSink.Merge(v.ts)
 		}
 	}
 	return out, err
@@ -136,29 +121,7 @@ func RunDrainGrid(ctx context.Context, points []DrainPoint, opts SweepOptions) (
 // phase boundaries.
 func runPointEpisode(ctx context.Context, pt DrainPoint, env sweep.Env) (pointValue, error) {
 	cfg := pt.Config
-	cfg.Metrics = env.Metrics
-	// Like the metrics registry, a timeline recorder is never shared across
-	// concurrent episodes: a traced base config gets a fresh per-episode
-	// recorder with the same limit.
-	if pt.Config.Timeline != nil {
-		cfg.Timeline = NewTimelineRecorder(pt.Config.Timeline.Limit())
-	}
-	// Same for the time-series sampler: a fresh per-episode sampler with
-	// the base sampler's resolution, tagged with the grid point so merged
-	// series never collide across episodes.
-	if pt.Config.Timeseries != nil {
-		base := pt.Config.Timeseries
-		label := pt.Label
-		if label == "" {
-			label = pt.Scheme.String()
-		}
-		cfg.Timeseries = timeseries.New(base.WindowPs(), base.Capacity(), "point", label)
-	}
-	// And the flight recorder: episodes bracket their own evlog episodes, so
-	// a shared log would interleave records across workers.
-	if pt.Config.Evlog != nil {
-		cfg.Evlog = NewEvlog(pt.Config.Evlog.Limit())
-	}
+	cfg.Probe = env.Probe
 
 	sys := NewSystem(cfg, pt.Scheme)
 	if err := sys.Warmup(); err != nil {
@@ -172,7 +135,7 @@ func runPointEpisode(ctx context.Context, pt DrainPoint, env sweep.Env) (pointVa
 	if err != nil {
 		return pointValue{}, err
 	}
-	val := pointValue{res: res, ts: cfg.Timeseries}
+	val := pointValue{res: res}
 	if cfg.Timeline != nil {
 		val.tl = cfg.Timeline.Recording()
 		AnalyzeTimeline(val.tl).Publish(cfg.Metrics, "scheme", pt.Scheme.String())
@@ -199,7 +162,7 @@ func runEpisodes(ctx context.Context, cfg Config, opts SweepOptions, eps []Episo
 		Parallel: opts.Parallel,
 		Timeout:  opts.Timeout,
 		BaseSeed: cfg.Seed,
-		Metrics:  cfg.Metrics,
+		Probe:    cfg.Probe,
 		Progress: opts.Progress,
 	})
 	return runner.Run(ctx, eps)

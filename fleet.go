@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/hierarchy"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -140,7 +141,8 @@ func FleetWorkloadNames() []string {
 // LLC size, bank count, seed and battery budget applied, all shared sinks
 // detached (machines measure in parallel and must share no mutable state).
 func machineConfig(base Config, spec cluster.MachineSpec, tech string) Config {
-	cfg := detachSinks(base)
+	cfg := base
+	cfg.Probe = probe.Probe{}
 	cfg.Seed = spec.Seed
 	if cfg.Hierarchy != nil {
 		// Deep-copy the explicit hierarchy and resize its last level to the

@@ -34,6 +34,7 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/probe"
 	"repro/internal/recovery"
 	"repro/internal/secmem"
 	"repro/internal/sim"
@@ -53,18 +54,18 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // Episode engine re-exports (from the internal sweep package). Experiment
 // grids (RunDrainSet, RunLLCSweep, the figure runners) route through this
 // engine; the generic forms below let API users run their own episode
-// grids with the same worker pool, cancellation, seeding and metrics-merge
+// grids with the same worker pool, cancellation, seeding and telemetry-merge
 // semantics. See DESIGN.md §8.
 type (
 	// SweepRunner executes episode grids on a bounded worker pool.
 	SweepRunner = sweep.Runner
 	// SweepRunnerOptions parameterises a SweepRunner (workers, timeout,
-	// base seed, merged metrics sink).
+	// base seed, the telemetry sinks episodes fork and merge into).
 	SweepRunnerOptions = sweep.Options
 	// Episode is one unit of work in a sweep.
 	Episode = sweep.Episode
 	// EpisodeEnv is the per-episode environment (index, derived seed,
-	// private metrics registry).
+	// private fork of the telemetry sinks).
 	EpisodeEnv = sweep.Env
 	// EpisodeResult is one episode's outcome.
 	EpisodeResult = sweep.Result
@@ -166,33 +167,13 @@ type Config struct {
 	KeySeed uint64
 	// Energy holds the Table II/III energy-model constants.
 	Energy energy.Params
-	// Metrics, when non-nil, receives counters, utilization gauges,
-	// latency histograms and lifecycle spans from every layer of the
-	// simulated machine. Leave nil to disable instrumentation entirely.
-	Metrics *MetricsRegistry
-	// Timeline, when non-nil, records every bank, bus and crypto-engine
-	// reservation of the drain episode for Chrome-trace export and
-	// critical-path attribution (see AnalyzeTimeline). Leave nil to disable
-	// recording entirely; the detached fast path costs one pointer check
-	// per reservation.
-	Timeline *TimelineRecorder
-	// Timeseries, when non-nil, records windowed sim-time series during
-	// the episode: per-scheme energy drawdown (and its fraction of
-	// BatteryJoules), blocks drained per window, per-bank queue depth,
-	// and run-phase op rates. Sweep grids clone a fresh per-episode
-	// sampler (labelled with the grid point) and merge back in episode
-	// order, so output is byte-identical at any parallelism. Leave nil to
-	// disable sampling entirely; the detached fast path costs one pointer
-	// check per event.
-	Timeseries *TimeseriesSampler
-	// Evlog, when non-nil, is the detection-forensics flight recorder the
-	// recovery paths feed: one structured record per recovery decision
-	// (check evaluated, region touched, expected-vs-got identity), the
-	// trailing records of which every typed recovery error captures as its
-	// provenance chain (Error.Chain). Sweep grids clone a fresh per-episode
-	// log so parallel episodes never share a ring. Leave nil to disable;
-	// the detached fast path costs one pointer check per decision.
-	Evlog *Evlog
+	// Probe holds the machine's observe-only telemetry sinks: Metrics
+	// (export with WritePrometheus or WriteJSON), Timeline (see
+	// AnalyzeTimeline), Timeseries (evaluate with EvaluateSLO) and Evlog
+	// (captured into typed recovery errors as Error.Chain). Each is
+	// optional; the zero Probe disables instrumentation entirely, and a
+	// detached sink costs one pointer check per event.
+	probe.Probe
 	// BatteryJoules, when positive, is the hold-up energy budget the
 	// drain races against (derive it from a Table III volume with
 	// BatteryBudgetJoules). It enables the horus_ts_energy_budget_frac
@@ -205,18 +186,6 @@ type Config struct {
 	// Zero or negative selects GOMAXPROCS; 1 forces the inline serial
 	// path. Exposed on every CLI as -shards.
 	Shards int
-}
-
-// detachSinks returns cfg with every shared telemetry sink cleared: Metrics,
-// Timeline, Timeseries and Evlog. Harnesses whose cells or machines run in
-// parallel build them from it so no two share a mutable recorder; those that
-// report aggregates merge into the caller's sinks afterwards.
-func detachSinks(cfg Config) Config {
-	cfg.Metrics = nil
-	cfg.Timeline = nil
-	cfg.Timeseries = nil
-	cfg.Evlog = nil
-	return cfg
 }
 
 // DefaultConfig returns the paper's Table I configuration at full scale:
@@ -281,9 +250,9 @@ type System struct {
 // newCoreSystem assembles the substrate every simulated machine shares: the
 // NVM controller with a metadata layout sized for the hierarchy's worst-case
 // drain, the key engine, and — when withSec — the secure memory controller,
-// with metrics/timeline/timeseries plumbing attached under the given label
-// pairs. NewSystem, NewWorkloadSystem and the litmus materialiser all build
-// on it, so a replayed image lands in a byte-identical layout.
+// with the config's probe attached under the given label pairs. NewSystem,
+// NewWorkloadSystem and the litmus materialiser all build on it, so a
+// replayed image lands in a byte-identical layout.
 func newCoreSystem(cfg Config, scheme Scheme, withSec bool, labels ...string) (*core.System, hierarchy.Config) {
 	hcfg := cfg.hierarchyConfig()
 	lines := uint64(hcfg.TotalLines())
@@ -306,18 +275,13 @@ func newCoreSystem(cfg Config, scheme Scheme, withSec bool, labels ...string) (*
 		sec = secmem.New(scfg, lay, enc, nvm)
 	}
 	cs := &core.System{
-		Layout: lay, Enc: enc, NVM: nvm, Sec: sec,
-		Metrics: cfg.Metrics, Timeline: cfg.Timeline,
-		Timeseries: cfg.Timeseries, Evlog: cfg.Evlog,
+		Layout: lay, Enc: enc, NVM: nvm, Sec: sec, Probe: cfg.Probe,
 		Energy: cfg.Energy, BatteryJoules: cfg.BatteryJoules,
 		Shards: cfg.Shards,
 	}
-	nvm.SetMetrics(cfg.Metrics, labels...)
-	nvm.SetTimeline(cfg.Timeline)
-	nvm.SetTimeseries(cfg.Timeseries, labels...)
+	nvm.Attach(cfg.Probe, labels...)
 	if sec != nil {
-		sec.SetMetrics(cfg.Metrics, labels...)
-		sec.SetTimeline(cfg.Timeline)
+		sec.Attach(cfg.Probe, labels...)
 	}
 	return cs, hcfg
 }

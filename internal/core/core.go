@@ -29,12 +29,10 @@ import (
 	"repro/internal/energy"
 	"repro/internal/hierarchy"
 	"repro/internal/mem"
-	"repro/internal/obs"
-	"repro/internal/obs/evlog"
 	"repro/internal/obs/timeseries"
+	"repro/internal/probe"
 	"repro/internal/secmem"
 	"repro/internal/sim"
-	"repro/internal/timeline"
 )
 
 // Scheme selects a draining design: a handle into the registry of
@@ -164,30 +162,15 @@ type System struct {
 	NVM    *mem.Controller
 	Sec    *secmem.Controller // run-time secure controller (baselines + metadata flush)
 
-	// Metrics, when non-nil, receives lifecycle spans and drain-level
-	// counters; the NVM and secure controller attach to the same registry
-	// via their own SetMetrics. All instrumentation is nil-safe.
-	Metrics *obs.Registry
-
-	// Timeline, when non-nil, records the per-resource event timeline of the
-	// drain. The NVM and secure controller attach to the same recorder via
-	// their own SetTimeline; the drainer brackets each episode so the
-	// recording covers exactly the measured drain window.
-	Timeline *timeline.Recorder
-
-	// Timeseries, when non-nil, receives windowed sim-time series during
-	// the drain: blocks flushed per window, the cumulative energy
-	// drawdown (and its fraction of BatteryJoules), and the final drain
-	// time. The NVM attaches to the same sampler via SetTimeseries for
-	// per-bank queue depth. All sampling is nil-safe and read-only with
-	// respect to simulated state.
-	Timeseries *timeseries.Sampler
-
-	// Evlog, when non-nil, is the detection-forensics flight recorder the
-	// recovery paths feed: one structured record per recovery decision
-	// (check evaluated, region touched, expected-vs-got identity), captured
-	// into any typed recovery error as its provenance chain. Nil-safe.
-	Evlog *evlog.Log
+	// Probe holds the machine's telemetry sinks. The drainer records
+	// lifecycle spans and drain-level counters into Metrics, brackets each
+	// drain on Timeline so the recording covers exactly the measured drain
+	// window, and samples blocks flushed, the energy drawdown (and its
+	// fraction of BatteryJoules) and the final drain time into Timeseries;
+	// the recovery paths feed Evlog. The NVM and secure controller attach to
+	// the same sinks via their own Attach. All instrumentation is nil-safe
+	// and read-only with respect to simulated state.
+	probe.Probe
 
 	// Energy holds the energy-model constants the drawdown series uses;
 	// zero params record a zero-energy series (callers that want the

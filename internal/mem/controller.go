@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/timeseries"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/timeline"
 )
@@ -64,12 +65,12 @@ type Controller struct {
 	reads  *sim.CounterSet
 	writes *sim.CounterSet
 
-	observers []Observer         // access tracers, notified in registration order
-	m         *accessMetrics     // optional per-access instrumentation
-	ts        *tsSeries          // optional windowed time-series sampling
-	fault     FaultInjector      // optional write-fault injection (torture harness)
-	recorder  WriteRecorder      // optional committed-write observer (litmus recorder)
-	tl        *timeline.Recorder // optional event-timeline recorder
+	observer Observer           // optional access tracer (horus-drain -access-trace)
+	m        *accessMetrics     // optional per-access instrumentation
+	ts       *tsSeries          // optional windowed time-series sampling
+	fault    FaultInjector      // optional write-fault injection (torture harness)
+	recorder WriteRecorder      // optional committed-write observer (litmus recorder)
+	tl       *timeline.Recorder // optional event-timeline recorder
 
 	functional bool // set only while Functionally runs its callback
 }
@@ -88,24 +89,9 @@ func (c *Controller) Functionally(fn func()) {
 	fn()
 }
 
-// AddObserver appends an access observer. Observers are notified of every
-// timed access in the order they were added; a nil observer is ignored.
-func (c *Controller) AddObserver(o Observer) {
-	if o != nil {
-		c.observers = append(c.observers, o)
-	}
-}
-
-// RemoveObserver detaches a previously added observer (compared by
-// identity). Unknown observers are ignored.
-func (c *Controller) RemoveObserver(o Observer) {
-	for i, cur := range c.observers {
-		if cur == o {
-			c.observers = append(c.observers[:i], c.observers[i+1:]...)
-			return
-		}
-	}
-}
+// SetObserver installs the access observer notified of every timed access
+// (the access-trace recorder); nil detaches it.
+func (c *Controller) SetObserver(o Observer) { c.observer = o }
 
 // accessMetrics caches metric handles so the per-access hot path does no
 // registry lookups. Per-category counters are filled lazily (the simulator
@@ -130,30 +116,6 @@ func (m *accessMetrics) counter(set map[Category]*obs.Counter, name string, cat 
 	return ctr
 }
 
-// SetMetrics attaches the controller to a metrics registry (nil detaches).
-// The extra labels (alternating key, value — e.g. "scheme", "Horus-SLM")
-// are applied to every series the controller emits.
-func (c *Controller) SetMetrics(reg *obs.Registry, labels ...string) {
-	if reg == nil {
-		c.m = nil
-		return
-	}
-	reg.SetHelp("horus_mem_reads_total", "NVM read accesses by category.")
-	reg.SetHelp("horus_mem_writes_total", "NVM write accesses by category.")
-	reg.SetHelp("horus_mem_bank_wait_ps", "Per-access bank queueing delay in picoseconds.")
-	reg.SetHelp("horus_mem_bus_wait_ps", "Per-access command/data-bus queueing delay in picoseconds.")
-	reg.SetHelp("horus_mem_bank_queue_depth", "Approximate bank queue depth (wait divided by service latency) at access issue.")
-	c.m = &accessMetrics{
-		reg:        reg,
-		labels:     labels,
-		bankWait:   reg.Histogram("horus_mem_bank_wait_ps", obs.LatencyBuckets, labels...),
-		busWait:    reg.Histogram("horus_mem_bus_wait_ps", obs.LatencyBuckets, labels...),
-		queueDepth: reg.Histogram("horus_mem_bank_queue_depth", obs.DepthBuckets, labels...),
-		readCtr:    make(map[Category]*obs.Counter),
-		writeCtr:   make(map[Category]*obs.Counter),
-	}
-}
-
 // tsSeries caches per-bank time-series handles so the per-access hot path
 // does no sampler lookups: when sampling is off the whole cost is one nil
 // check on c.ts.
@@ -161,23 +123,58 @@ type tsSeries struct {
 	depth []*timeseries.Series // queue depth per bank, indexed by bank
 }
 
-// SetTimeseries attaches a windowed time-series sampler (nil detaches).
-// Every access then records its bank's instantaneous queue depth (wait
-// divided by service latency, the same proxy the depth histogram uses) at
-// the sim time the access reached the bank, giving the live per-bank
-// queue-depth view of a drain. The extra labels are applied to every
-// series.
-func (c *Controller) SetTimeseries(ts *timeseries.Sampler, labels ...string) {
-	if ts == nil {
-		c.ts = nil
-		return
+// Attach connects the controller to the probe's sinks; a nil sink detaches
+// that sink. Metric handles and per-bank series are resolved here, once, so
+// the per-access cost of each sink is one pointer check when detached and a
+// cached-handle update when attached. The extra labels (alternating key,
+// value, e.g. "scheme", "Horus-SLM") are applied to every metric and series
+// the controller emits.
+//
+// With a registry, every access counts its category and observes its bus
+// and bank waits and the bank's approximate queue depth (wait divided by
+// service latency). With a sampler, every access records that queue depth
+// for its bank at the sim time it reached the bank, giving the live
+// per-bank view of a drain. With a recorder, each reservation on the bus
+// and every bank is recorded as one interval stamped with the access op
+// and category.
+func (c *Controller) Attach(p probe.Probe, labels ...string) {
+	c.m = nil
+	if reg := p.Metrics; reg != nil {
+		reg.SetHelp("horus_mem_reads_total", "NVM read accesses by category.")
+		reg.SetHelp("horus_mem_writes_total", "NVM write accesses by category.")
+		reg.SetHelp("horus_mem_bank_wait_ps", "Per-access bank queueing delay in picoseconds.")
+		reg.SetHelp("horus_mem_bus_wait_ps", "Per-access command/data-bus queueing delay in picoseconds.")
+		reg.SetHelp("horus_mem_bank_queue_depth", "Approximate bank queue depth (wait divided by service latency) at access issue.")
+		c.m = &accessMetrics{
+			reg:        reg,
+			labels:     labels,
+			bankWait:   reg.Histogram("horus_mem_bank_wait_ps", obs.LatencyBuckets, labels...),
+			busWait:    reg.Histogram("horus_mem_bus_wait_ps", obs.LatencyBuckets, labels...),
+			queueDepth: reg.Histogram("horus_mem_bank_queue_depth", obs.DepthBuckets, labels...),
+			readCtr:    make(map[Category]*obs.Counter),
+			writeCtr:   make(map[Category]*obs.Counter),
+		}
 	}
-	s := &tsSeries{depth: make([]*timeseries.Series, len(c.banks))}
-	for i := range c.banks {
-		s.depth[i] = ts.Gauge("horus_ts_bank_queue_depth",
-			append([]string{"bank", strconv.Itoa(i)}, labels...)...)
+
+	c.tl = p.Timeline
+	var tr sim.Tracer
+	if p.Timeline != nil {
+		tr = p.Timeline
 	}
-	c.ts = s
+	c.bus.SetTracer("bus", tr)
+	for _, b := range c.banks {
+		b.SetTracer("bank", tr)
+	}
+
+	c.ts = nil
+	if ts := p.Timeseries; ts != nil {
+		s := &tsSeries{depth: make([]*timeseries.Series, len(c.banks))}
+		for i := range c.banks {
+			s.depth[i] = ts.Gauge("horus_ts_bank_queue_depth",
+				append([]string{"bank", strconv.Itoa(i)}, labels...)...)
+		}
+		c.ts = s
+	}
 }
 
 // NewController returns a controller over a fresh store.
@@ -196,21 +193,6 @@ func NewController(cfg Config) *Controller {
 		c.banks = append(c.banks, sim.NewResource(fmt.Sprintf("bank%02d", i)))
 	}
 	return c
-}
-
-// SetTimeline attaches an event-timeline recorder to the bus and every bank
-// (nil detaches). Each reservation the controller places is then recorded as
-// one interval, stamped with the access op and category.
-func (c *Controller) SetTimeline(rec *timeline.Recorder) {
-	c.tl = rec
-	var tr sim.Tracer
-	if rec != nil {
-		tr = rec
-	}
-	c.bus.SetTracer("bus", tr)
-	for _, b := range c.banks {
-		b.SetTracer("bank", tr)
-	}
 }
 
 // Store exposes the functional backing store (for tests and recovery).
@@ -276,8 +258,8 @@ func (c *Controller) Read(ready sim.Time, addr uint64, cat Category) (Block, sim
 	if c.ts != nil {
 		c.ts.depth[bank].Record(int64(bankStart), float64(bankStart-busDone)/float64(c.cfg.ReadLatency))
 	}
-	for _, o := range c.observers {
-		o.OnAccess("read", done, addr, string(cat))
+	if c.observer != nil {
+		c.observer.OnAccess("read", done, addr, string(cat))
 	}
 	return c.store.ReadBlock(addr), done
 }
@@ -291,7 +273,7 @@ func (c *Controller) Read(ready sim.Time, addr uint64, cat Category) (Block, sim
 func (c *Controller) Write(ready sim.Time, addr uint64, b Block, cat Category) sim.Time {
 	// One probe serves the whole access: the fused entry carries the wear
 	// count and the content slot. Nothing below inserts into the store (the
-	// observers and metrics only read), so the pointer stays valid.
+	// observer and the sinks only read), so the pointer stays valid.
 	e := c.store.entry(addr)
 	e.wear++
 	done := ready
@@ -313,8 +295,8 @@ func (c *Controller) Write(ready sim.Time, addr uint64, b Block, cat Category) s
 		if c.ts != nil {
 			c.ts.depth[bank].Record(int64(bankStart), float64(bankStart-busDone)/float64(c.cfg.WriteLatency))
 		}
-		for _, o := range c.observers {
-			o.OnAccess("write", done, addr, string(cat))
+		if c.observer != nil {
+			c.observer.OnAccess("write", done, addr, string(cat))
 		}
 	}
 	if c.fault != nil {

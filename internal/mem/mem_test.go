@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/obs"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -189,36 +190,6 @@ func TestControllerZeroBanksPanics(t *testing.T) {
 	NewController(Config{Banks: 0})
 }
 
-// orderObserver records the order it was called in, shared across observers.
-type orderObserver struct {
-	id  int
-	log *[]int
-}
-
-func (o *orderObserver) OnAccess(kind string, done sim.Time, addr uint64, category string) {
-	*o.log = append(*o.log, o.id)
-}
-
-func TestObserverFanOutOrdering(t *testing.T) {
-	c := NewController(DefaultConfig())
-	var log []int
-	c.AddObserver(&orderObserver{1, &log})
-	c.AddObserver(&orderObserver{2, &log})
-	c.AddObserver(&orderObserver{3, &log})
-	c.AddObserver(nil) // ignored
-	c.Write(0, 0, Block{}, CatData)
-	c.Read(0, 0, CatData)
-	want := []int{1, 2, 3, 1, 2, 3}
-	if len(log) != len(want) {
-		t.Fatalf("fan-out calls = %v, want %v", log, want)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("fan-out order = %v, want registration order %v", log, want)
-		}
-	}
-}
-
 // scriptInjector returns a fixed fault for one write index and records the
 // stages it saw.
 type scriptInjector struct {
@@ -339,7 +310,7 @@ func TestMarkStageForwarding(t *testing.T) {
 func TestControllerMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewController(DefaultConfig())
-	c.SetMetrics(reg, "scheme", "test")
+	c.Attach(probe.Probe{Metrics: reg}, "scheme", "test")
 	c.Write(0, 0, Block{}, CatData)
 	c.Write(0, 64, Block{}, CatCounter)
 	c.Read(0, 0, CatData)
@@ -364,7 +335,7 @@ func TestControllerMetrics(t *testing.T) {
 		t.Error("no bank reported positive utilization after PublishMetrics")
 	}
 	// Detaching stops recording without touching prior series.
-	c.SetMetrics(nil)
+	c.Attach(probe.Probe{})
 	c.Write(0, 128, Block{}, CatData)
 	if got := reg.Counter("horus_mem_writes_total", "category", "data", "scheme", "test").Value(); got != 1 {
 		t.Errorf("detached controller still recorded: %d", got)

@@ -24,6 +24,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/obs/timeseries"
+	"repro/internal/probe"
 	"repro/internal/secmem"
 	"repro/internal/sim"
 	"repro/internal/timeline"
@@ -124,31 +125,21 @@ type Machine struct {
 	tsOps   *timeseries.Series // ops retired per sim-time window (nil = off)
 }
 
-// SetMetrics attaches the machine to a metrics registry (nil detaches). The
-// extra labels (alternating key, value — e.g. "domain", "EPD") are applied
-// to every series the machine publishes. The underlying controllers attach
-// via their own SetMetrics.
-func (m *Machine) SetMetrics(reg *obs.Registry, labels ...string) {
-	m.metrics = reg
+// Attach connects the machine to the probe's sinks; a nil sink detaches
+// that sink. PublishMetrics then writes the run-time counters into the
+// registry, Run stamps the run phase onto the recorder's events, and Run
+// records operations retired per sim-time window under horus_ts_run_ops
+// (one pointer check per op when detached). The extra labels (alternating
+// key, value, e.g. "domain", "EPD") are applied to every metric and
+// series. The underlying controllers attach via their own Attach.
+func (m *Machine) Attach(p probe.Probe, labels ...string) {
+	m.metrics = p.Metrics
 	m.mLabels = labels
-}
-
-// SetTimeline hands the machine the recorder its controllers are attached
-// to, so Run can stamp the run phase onto recorded events (nil detaches).
-func (m *Machine) SetTimeline(rec *timeline.Recorder) {
-	m.tl = rec
-}
-
-// SetTimeseries attaches a windowed time-series sampler (nil detaches):
-// Run then records operations retired per sim-time window under
-// horus_ts_run_ops. The extra labels (e.g. "domain", "EPD") are applied to
-// the series. One pointer check per op when detached.
-func (m *Machine) SetTimeseries(ts *timeseries.Sampler, labels ...string) {
-	if ts == nil {
-		m.tsOps = nil
-		return
+	m.tl = p.Timeline
+	m.tsOps = nil
+	if p.Timeseries != nil {
+		m.tsOps = p.Timeseries.Counter("horus_ts_run_ops", labels...)
 	}
-	m.tsOps = ts.Counter("horus_ts_run_ops", labels...)
 }
 
 // PublishMetrics snapshots the run-time counters into the attached registry

@@ -7,7 +7,11 @@ import (
 	"repro/internal/cme"
 	"repro/internal/hierarchy"
 	"repro/internal/mem"
+	"repro/internal/obs"
+	"repro/internal/obs/timeseries"
+	"repro/internal/probe"
 	"repro/internal/secmem"
+	"repro/internal/timeline"
 	"repro/internal/workload"
 )
 
@@ -274,6 +278,47 @@ func TestRunAllWorkloads(t *testing.T) {
 				t.Error("op counts disagree with stream stats")
 			}
 		})
+	}
+}
+
+// TestAttachFeedsEverySink runs a workload on a machine whose controllers
+// and run loop share one probe, and checks each sink heard from the run:
+// run-time gauges and the run span, per-window op counts, and timeline
+// events stamped with the run stage.
+func TestAttachFeedsEverySink(t *testing.T) {
+	m, nvm, _ := newMachine(t, DomainEPD, false)
+	p := probe.Probe{
+		Metrics:    obs.NewRegistry(),
+		Timeline:   timeline.NewRecorder(0),
+		Timeseries: timeseries.New(0, 0),
+	}
+	nvm.Attach(p)
+	m.Attach(p, "domain", "EPD")
+	s := workload.Uniform(workload.Config{Ops: 2000, WorkingSet: 256 << 10, Seed: 9})
+	if err := m.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	r, _, _ := s.Stats()
+	if got := p.Metrics.Gauge("horus_run_ops", "kind", "read", "domain", "EPD").Value(); got != float64(r) {
+		t.Errorf("horus_run_ops{kind=read} = %v, want %d", got, r)
+	}
+	if got := p.Metrics.Snapshot().Spans; len(got) != 1 || got[0].Name != "run" {
+		t.Errorf("span tree %+v, want one run span", got)
+	}
+	var ops float64
+	for _, sr := range p.Timeseries.Snapshot().Find("horus_ts_run_ops") {
+		if sr.Labels["domain"] != "EPD" {
+			t.Errorf("horus_ts_run_ops labels %v, want domain=EPD", sr.Labels)
+		}
+		for _, pt := range sr.Points {
+			ops += pt.V
+		}
+	}
+	if ops != float64(len(s.Ops)) {
+		t.Errorf("horus_ts_run_ops sums to %v, want %d ops", ops, len(s.Ops))
+	}
+	if ev := p.Timeline.Recording().Events; len(ev) == 0 || ev[0].Stage != "run" {
+		t.Errorf("timeline events %v, want run-stage events", ev[:min(len(ev), 1)])
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"repro/internal/cme"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/timeline"
 )
@@ -176,31 +177,28 @@ type engineMetrics struct {
 	macCtr map[string]*obs.Counter
 }
 
-// SetMetrics attaches the controller to a metrics registry (nil detaches).
-// The extra labels (alternating key, value) are applied to every series.
-func (c *Controller) SetMetrics(reg *obs.Registry, labels ...string) {
-	if reg == nil {
-		c.m = nil
-		return
+// Attach connects the controller to the probe's sinks; a nil sink detaches
+// that sink. With a registry, AES and MAC issues count into handles
+// resolved here (MAC categories lazily), under the extra labels
+// (alternating key, value). With a recorder, every crypto issue on the AES
+// and MAC engines is recorded as one interval stamped with the operation
+// category. The controller emits no time series.
+func (c *Controller) Attach(p probe.Probe, labels ...string) {
+	c.m = nil
+	if reg := p.Metrics; reg != nil {
+		reg.SetHelp("horus_sec_aes_ops_total", "AES (OTP) operations issued to the shared crypto engine.")
+		reg.SetHelp("horus_sec_mac_ops_total", "MAC computations by category (verify, tree-update, data-mac, meta-protect).")
+		c.m = &engineMetrics{
+			reg:    reg,
+			labels: labels,
+			aesCtr: reg.Counter("horus_sec_aes_ops_total", labels...),
+			macCtr: make(map[string]*obs.Counter),
+		}
 	}
-	reg.SetHelp("horus_sec_aes_ops_total", "AES (OTP) operations issued to the shared crypto engine.")
-	reg.SetHelp("horus_sec_mac_ops_total", "MAC computations by category (verify, tree-update, data-mac, meta-protect).")
-	c.m = &engineMetrics{
-		reg:    reg,
-		labels: labels,
-		aesCtr: reg.Counter("horus_sec_aes_ops_total", labels...),
-		macCtr: make(map[string]*obs.Counter),
-	}
-}
-
-// SetTimeline attaches an event-timeline recorder to the AES and MAC
-// engines (nil detaches); every crypto issue is then recorded as one
-// interval stamped with the operation category.
-func (c *Controller) SetTimeline(rec *timeline.Recorder) {
-	c.tl = rec
+	c.tl = p.Timeline
 	var tr sim.Tracer
-	if rec != nil {
-		tr = rec
+	if p.Timeline != nil {
+		tr = p.Timeline
 	}
 	c.aes.SetTracer("aes", tr)
 	c.mac.SetTracer("mac", tr)

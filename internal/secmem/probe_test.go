@@ -13,6 +13,7 @@ import (
 	"repro/internal/cme"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/timeline"
 )
@@ -176,13 +177,11 @@ func TestProbeBlockMatchesReadBlock(t *testing.T) {
 				probed.nvm.SetFaultInjector(hooksP)
 
 				reg := obs.NewRegistry()
-				probed.nvm.SetMetrics(reg)
-				probed.SetMetrics(reg)
 				rec := timeline.NewRecorder(0)
-				probed.nvm.SetTimeline(rec)
-				probed.SetTimeline(rec)
+				probed.nvm.Attach(probe.Probe{Metrics: reg, Timeline: rec})
+				probed.Attach(probe.Probe{Metrics: reg, Timeline: rec})
 				var obsCalls int
-				probed.nvm.AddObserver(countObserver{&obsCalls})
+				probed.nvm.SetObserver(countObserver{&obsCalls})
 				before := timingImage(probed, reg, rec, obsCalls)
 				evBefore := dirtyEvictionCount(probed)
 

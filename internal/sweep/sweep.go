@@ -2,14 +2,14 @@
 // a grid of independent simulation episodes (build → warmup → fill → drain
 // [→ recover]) on a bounded worker pool with context cancellation, a
 // whole-sweep timeout, per-episode panic capture and per-episode error
-// collection, and merges per-episode metric registries into one report
-// deterministically.
+// collection, and merges per-episode telemetry (metrics and time series)
+// into the caller's sinks deterministically.
 //
 // Determinism contract: episodes share no mutable state, every episode
 // derives its RNG seed from (BaseSeed, episode index) — never from a
-// shared stream — and results and registry merges are ordered by episode
+// shared stream — and results and telemetry merges are ordered by episode
 // index regardless of scheduling. Consequently a sweep run with one worker
-// and with N workers produces bit-identical results and merged metrics.
+// and with N workers produces bit-identical results and merged telemetry.
 package sweep
 
 import (
@@ -22,7 +22,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/probe"
 )
 
 // Env is the per-episode environment the runner supplies to Run.
@@ -33,11 +33,12 @@ type Env struct {
 	// Index). Episodes that need randomness must use it (or a value derived
 	// from it) so parallel scheduling cannot perturb results.
 	Seed int64
-	// Metrics is a fresh registry for this episode alone (nil when the
-	// runner has no metrics sink). After the sweep the runner merges all
-	// episode registries into the sink in index order, so aggregation is
-	// lossless and deterministic even though episodes finish out of order.
-	Metrics *obs.Registry
+	// Probe holds fresh sinks for this episode alone: Options.Probe forked
+	// with the label ("point", Episode.Label), so a nil sink stays nil.
+	// After the sweep the runner merges every episode's metrics and time
+	// series into Options.Probe in index order, so aggregation is lossless
+	// and deterministic even though episodes finish out of order.
+	probe.Probe
 }
 
 // Episode is one unit of work in a sweep.
@@ -56,8 +57,12 @@ type Result struct {
 	Label   string
 	Value   any           // Run's return value (nil on error)
 	Err     error         // Run's error, a *PanicError, or the context error
-	Metrics *obs.Registry // this episode's registry (also merged into the sink)
 	Elapsed time.Duration // wall-clock execution time (not simulated time)
+	// Probe holds this episode's registry and sampler, the sinks merged
+	// into Options.Probe. Its recorder and flight log stay with the
+	// episode, which returns any recording it keeps in Value, so finished
+	// episodes' event buffers are not held until the sweep ends.
+	probe.Probe
 }
 
 // Options configures a Runner.
@@ -69,9 +74,10 @@ type Options struct {
 	Timeout time.Duration
 	// BaseSeed is the root of the per-episode seed derivation.
 	BaseSeed int64
-	// Metrics, when non-nil, receives every episode's registry via Merge,
-	// in episode order, after the sweep completes.
-	Metrics *obs.Registry
+	// Probe holds the caller's sinks. Each episode runs against its own
+	// fork; every episode's metrics and time series merge back in episode
+	// order after the sweep completes.
+	probe.Probe
 	// Progress, when non-nil, is called once per finished episode (in
 	// completion order, serialized — implementations need no locking).
 	// It runs on worker goroutines between episodes: keep it cheap and
@@ -215,10 +221,8 @@ func (r *Runner) Run(ctx context.Context, episodes []Episode) ([]Result, error) 
 	}
 
 	// Deterministic post-hoc aggregation: merge in episode order.
-	if r.opts.Metrics != nil {
-		for i := range results {
-			r.opts.Metrics.Merge(results[i].Metrics)
-		}
+	for i := range results {
+		r.opts.Probe.Merge(results[i].Probe)
 	}
 
 	var failed []Result
@@ -235,11 +239,8 @@ func (r *Runner) Run(ctx context.Context, episodes []Episode) ([]Result, error) 
 
 // runOne executes a single episode, capturing panics as errors.
 func (r *Runner) runOne(ctx context.Context, i int, ep Episode) (res Result) {
-	env := Env{Index: i, Seed: DeriveSeed(r.opts.BaseSeed, i)}
-	if r.opts.Metrics != nil {
-		env.Metrics = obs.NewRegistry()
-	}
-	res = Result{Index: i, Label: ep.Label, Metrics: env.Metrics}
+	env := Env{Index: i, Seed: DeriveSeed(r.opts.BaseSeed, i), Probe: r.opts.Probe.Fork("point", ep.Label)}
+	res = Result{Index: i, Label: ep.Label, Probe: probe.Probe{Metrics: env.Metrics, Timeseries: env.Timeseries}}
 	start := time.Now()
 	defer func() {
 		res.Elapsed = time.Since(start)

@@ -12,6 +12,10 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/evlog"
+	"repro/internal/obs/timeseries"
+	"repro/internal/probe"
+	"repro/internal/timeline"
 )
 
 // grid builds n episodes whose value is a deterministic function of the
@@ -52,7 +56,7 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 	const n = 24
 	run := func(workers int) ([]int64, string) {
 		sink := obs.NewRegistry()
-		r := New(Options{Parallel: workers, BaseSeed: 42, Metrics: sink})
+		r := New(Options{Parallel: workers, BaseSeed: 42, Probe: probe.Probe{Metrics: sink}})
 		results, err := r.Run(context.Background(), grid(n))
 		if err != nil {
 			t.Fatal(err)
@@ -197,19 +201,46 @@ func TestSweepDefaultWorkerCount(t *testing.T) {
 func TestSweepNoMetricsSinkSkipsRegistries(t *testing.T) {
 	results, err := New(Options{Parallel: 2}).Run(context.Background(), []Episode{
 		{Label: "a", Run: func(ctx context.Context, env Env) (any, error) {
-			if env.Metrics.Enabled() {
-				return nil, errors.New("episode registry allocated without a sink")
+			if env.Probe != (probe.Probe{}) {
+				return nil, errors.New("episode sinks allocated without a probe")
 			}
-			// Nil registries must still be safe to instrument against.
+			// Nil sinks must still be safe to instrument against.
 			env.Metrics.Counter("x").Add(1)
+			env.Timeseries.Counter("x").Record(0, 1)
+			env.Timeline.SetStage("x")
+			env.Evlog.SetStage("x")
 			return nil, nil
 		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Metrics.Enabled() {
-		t.Error("result should carry a nil registry when no sink is set")
+	if results[0].Probe != (probe.Probe{}) {
+		t.Error("result should carry the zero probe when the runner has none")
+	}
+}
+
+func TestSweepResultKeepsOnlyMergedSinks(t *testing.T) {
+	sink := probe.Probe{
+		Metrics:    obs.NewRegistry(),
+		Timeline:   timeline.NewRecorder(0),
+		Timeseries: timeseries.New(0, 0),
+		Evlog:      evlog.New(0),
+	}
+	results, err := New(Options{Parallel: 1, Probe: sink}).Run(context.Background(), []Episode{
+		{Label: "a", Run: func(ctx context.Context, env Env) (any, error) {
+			if env.Metrics == nil || env.Timeline == nil || env.Timeseries == nil || env.Evlog == nil {
+				return nil, fmt.Errorf("episode probe %+v lacks a sink the runner has", env.Probe)
+			}
+			return nil, nil
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := results[0]
+	if r.Metrics == nil || r.Timeseries == nil || r.Timeline != nil || r.Evlog != nil {
+		t.Errorf("result probe %+v, want the episode's registry and sampler alone", r.Probe)
 	}
 }
 

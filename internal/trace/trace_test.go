@@ -11,7 +11,7 @@ import (
 func TestRecorderCapturesAccesses(t *testing.T) {
 	c := mem.NewController(mem.DefaultConfig())
 	r := NewRecorder(0)
-	c.AddObserver(r)
+	c.SetObserver(r)
 	c.Write(0, 0x1000, mem.Block{}, mem.CatData)
 	c.Read(0, 0x1000, mem.CatCounter)
 	if r.Len() != 2 {
@@ -35,7 +35,7 @@ func TestRecorderCapturesAccesses(t *testing.T) {
 func TestRecorderLimitAndDropCount(t *testing.T) {
 	c := mem.NewController(mem.DefaultConfig())
 	r := NewRecorder(3)
-	c.AddObserver(r)
+	c.SetObserver(r)
 	for i := 0; i < 10; i++ {
 		c.Write(0, uint64(i)*64, mem.Block{}, mem.CatData)
 	}
@@ -141,9 +141,9 @@ func TestReset(t *testing.T) {
 func TestObserverClearable(t *testing.T) {
 	c := mem.NewController(mem.DefaultConfig())
 	r := NewRecorder(0)
-	c.AddObserver(r)
+	c.SetObserver(r)
 	c.Write(0, 0, mem.Block{}, mem.CatData)
-	c.RemoveObserver(r)
+	c.SetObserver(nil)
 	c.Write(0, 64, mem.Block{}, mem.CatData)
 	if r.Len() != 1 {
 		t.Error("observer kept recording after removal")

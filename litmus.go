@@ -13,6 +13,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/obs/evlog"
+	"repro/internal/probe"
 	"repro/internal/recovery"
 	"repro/internal/report"
 	"repro/internal/sweep"
@@ -311,7 +312,6 @@ type litmusEpisode struct {
 	golden map[uint64]mem.Block
 	blocks []DirtyBlock
 	pre    *mem.Store // NVM image at the crash instant, before the drain
-	final  *mem.Store // NVM image after the completed drain
 	writes []litmus.Write
 	epochs []litmus.Epoch
 	// snaps[i] is the persistent register file at epoch i's closing
@@ -320,8 +320,8 @@ type litmusEpisode struct {
 	snaps []PersistentState
 	// base and complete are the crash images every cell starts from, built
 	// once and only ever read: base is pre copied into a table sized for the
-	// final image (the layout a cell's replayed writes extend), complete is
-	// base with every recorded write replayed.
+	// drained image (the layout a cell's replayed writes extend), complete is
+	// base with every recorded write replayed, i.e. the drained image.
 	base     *mem.Store
 	complete *mem.Store
 	// spare holds stores handed back by finished cells. A cell copies an
@@ -366,11 +366,10 @@ func recordLitmusEpisode(cfg Config, scheme Scheme, w *Workload) (*litmusEpisode
 	// which NVM writes became durable); mid-drain epochs use the snapshot
 	// taken at their barrier.
 	ep.snaps[len(ep.snaps)-1] = res.Persist
-	ep.final = ws.Core.NVM.Store().Snapshot()
-	// The final image holds every block a materialised image can, so no
+	// The drained image holds every block a materialised image can, so no
 	// cell's replay grows base's table.
 	ep.base = mem.NewStore()
-	ep.base.Reserve(ep.final.Populated())
+	ep.base.Reserve(ws.Core.NVM.Store().Populated())
 	ep.pre.Each(func(a uint64, b mem.Block) { ep.base.WriteBlock(a, b) })
 	ep.complete = ep.base.Snapshot()
 	for _, w := range ep.writes {
@@ -440,11 +439,11 @@ func (ep *litmusEpisode) classifyOrdering(cfg Config, ei int, o litmus.Ordering)
 }
 
 // probeAddrs returns the sorted populated data-region addresses of the
-// final image — the set of runtime in-place blocks a post-recovery reader
+// complete image — the set of runtime in-place blocks a post-recovery reader
 // would consult.
 func (ep *litmusEpisode) probeAddrs() []uint64 {
 	var out []uint64
-	ep.final.Each(func(a uint64, _ mem.Block) {
+	ep.complete.Each(func(a uint64, _ mem.Block) {
 		if ep.lay.RegionOf(a) == bmt.RegionData {
 			out = append(out, a)
 		}
@@ -453,13 +452,13 @@ func (ep *litmusEpisode) probeAddrs() []uint64 {
 	return out
 }
 
-// victimPool returns the sorted populated final-image addresses in the
+// victimPool returns the sorted populated complete-image addresses in the
 // given region; for freshness (rollback) models only blocks the drain or
 // runtime actually changed qualify — rolling back an unchanged block is a
 // no-op, not a corruption.
 func (ep *litmusEpisode) victimPool(region bmt.Region, fresh bool) []uint64 {
 	var out []uint64
-	ep.final.Each(func(a uint64, b mem.Block) {
+	ep.complete.Each(func(a uint64, b mem.Block) {
 		if ep.lay.RegionOf(a) != region {
 			return
 		}
@@ -598,7 +597,8 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 		schemes = []Scheme{BaseLU, BaseEU, HorusSLM, HorusDLM}
 	}
 	sink, tsSink := lc.Config.Metrics, lc.Config.Timeseries
-	cfg := detachSinks(lc.Config)
+	cfg := lc.Config
+	cfg.Probe = probe.Probe{} // cells run in parallel and share no sink
 	newWorkload := lc.NewWorkload
 	if newWorkload == nil {
 		newWorkload = defaultLitmusWorkload

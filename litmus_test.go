@@ -181,13 +181,13 @@ func FuzzLitmusOrdering(f *testing.F) {
 }
 
 // refMaterialize is the materialiser as first written, kept as the
-// reference for the recycled one: a fresh store reserved for the final
-// image, the pre-drain image copied in block by block, then every write
+// reference for the recycled one: a fresh store reserved for the drained
+// (complete) image, the pre-drain image copied in block by block, then every write
 // before epoch ei and the applied subset of epoch ei replayed.
 func (ep *litmusEpisode) refMaterialize(cfg Config, ei int, applied []int) *core.System {
 	sys, _ := newCoreSystem(cfg, ep.scheme, true)
 	st := sys.NVM.Store()
-	st.Reserve(ep.final.Populated())
+	st.Reserve(ep.complete.Populated())
 	ep.pre.Each(func(a uint64, b mem.Block) { st.WriteBlock(a, b) })
 	e := ep.epochs[ei]
 	for _, w := range ep.writes[:e.Lo] {
@@ -315,6 +315,40 @@ func TestLitmusMaterializeMatchesReference(t *testing.T) {
 		for _, o := range orderings(last) {
 			check(fmt.Sprintf("after growth: epoch %d %s%v", last, o.Kind, o.Applied), ep.materialize(cfg, last, o.Applied), ep.refMaterialize(cfg, last, o.Applied))
 		}
+	}
+}
+
+// TestLitmusCompleteImageIsDrainedStore checks on every secure scheme that
+// the complete crash image (base plus every recorded write) holds exactly
+// what the drain left in NVM: the same populated blocks with the same
+// content. The probe address set, the victim pools and base's sizing all
+// read the complete image on the strength of it.
+func TestLitmusCompleteImageIsDrainedStore(t *testing.T) {
+	cfg := TestConfig()
+	w := defaultLitmusWorkload(cfg.Seed)
+	for _, s := range []Scheme{BaseLU, BaseEU, HorusSLM, HorusDLM} {
+		ep, err := recordLitmusEpisode(cfg, s, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := NewWorkloadSystem(cfg, s, DomainEPD)
+		if err := ws.Run(w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ws.drainer.Drain(ws.Machine.DirtyBlocks()); err != nil {
+			t.Fatal(err)
+		}
+		drained := ws.Core.NVM.Store()
+		if g, w := ep.complete.Populated(), drained.Populated(); g != w {
+			t.Fatalf("%v: complete image populates %d blocks, the drained store %d", s, g, w)
+		}
+		blocks := make(map[uint64]mem.Block, drained.Populated())
+		drained.Each(func(a uint64, b mem.Block) { blocks[a] = b })
+		ep.complete.Each(func(a uint64, b mem.Block) {
+			if want, ok := blocks[a]; !ok || b != want {
+				t.Errorf("%v: block %#x: in drained store %v, content equal %v", s, a, ok, b == want)
+			}
+		})
 	}
 }
 

@@ -77,9 +77,7 @@ func NewWorkloadSystem(cfg Config, scheme Scheme, domain PersistDomain) *Workloa
 		Domain:    domain,
 		ClockHz:   cfg.Sec.ClockHz,
 	}, cs.Sec, cs.NVM)
-	machine.SetMetrics(cfg.Metrics, "domain", domain.String())
-	machine.SetTimeline(cfg.Timeline)
-	machine.SetTimeseries(cfg.Timeseries, "domain", domain.String())
+	machine.Attach(cfg.Probe, "domain", domain.String())
 	return &WorkloadSystem{
 		Config:  cfg,
 		Scheme:  scheme,

@@ -76,6 +76,84 @@ func TestSweepDeterminismLLC(t *testing.T) {
 	}
 }
 
+// renderProbedGrid runs a drain-and-recover grid over every scheme with all
+// four sinks attached at the given worker count, and returns the merged
+// Prometheus text, the merged time-series JSON and the Chrome trace of
+// every episode's drain and recovery recordings.
+func renderProbedGrid(t *testing.T, workers int) (prom, series, trace string) {
+	t.Helper()
+	cfg := TestConfig()
+	cfg.Metrics = NewMetricsRegistry()
+	cfg.Timeline = NewTimelineRecorder(0)
+	cfg.Timeseries = NewTimeseriesSampler(0, 0)
+	cfg.Evlog = NewEvlog(0)
+	var points []DrainPoint
+	for _, s := range AllSchemes() {
+		points = append(points, DrainPoint{Config: cfg, Scheme: s, Recover: true})
+	}
+	prs, err := RunDrainGrid(context.Background(), points, SweepOptions{Parallel: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []*TimelineRecording
+	for _, pr := range prs {
+		if pr.Timeline == nil || pr.Recovery == nil {
+			t.Fatalf("%v: missing drain recording or recovery report", pr.Point.Scheme)
+		}
+		recs = append(recs, pr.Timeline)
+		recs = append(recs, pr.Recovery.Timelines()...)
+	}
+	var pb, sb, tb strings.Builder
+	if err := cfg.Metrics.WritePrometheus(&pb); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Timeseries.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteChromeTrace(&tb, recs...); err != nil {
+		t.Fatal(err)
+	}
+	// Every layer the probe reaches recorded into it: mem, secmem and
+	// recovery metrics; mem, core and recovery samples.
+	for _, name := range []string{"horus_mem_reads_total", "horus_sec_mac_ops_total", "horus_recovery_time_ps"} {
+		if !strings.Contains(pb.String(), name) {
+			t.Errorf("merged metrics lack %s", name)
+		}
+	}
+	snap := cfg.Timeseries.Snapshot()
+	for _, name := range []string{"horus_ts_bank_queue_depth", "horus_ts_blocks_drained", "horus_ts_recovery_blocks"} {
+		sampled := false
+		for _, sr := range snap.Find(name) {
+			sampled = sampled || len(sr.Points) > 0
+		}
+		if !sampled {
+			t.Errorf("no %s series recorded a sample", name)
+		}
+	}
+	// Every episode ran against its own fork: the base recorders saw nothing.
+	if cfg.Timeline.Len() != 0 || cfg.Evlog.Len() != 0 {
+		t.Errorf("base recorders hold %d events and %d records, want none", cfg.Timeline.Len(), cfg.Evlog.Len())
+	}
+	return pb.String(), sb.String(), tb.String()
+}
+
+// TestSweepProbeDeterminism extends the byte-identity contract to all four
+// sinks: merged metrics, merged time series and the per-episode timeline
+// recordings are the same at one worker and at four.
+func TestSweepProbeDeterminism(t *testing.T) {
+	seqProm, seqSeries, seqTrace := renderProbedGrid(t, 1)
+	parProm, parSeries, parTrace := renderProbedGrid(t, 4)
+	if seqProm != parProm {
+		t.Error("merged metrics differ between -parallel 1 and 4")
+	}
+	if seqSeries != parSeries {
+		t.Error("merged time series differ between -parallel 1 and 4")
+	}
+	if seqTrace != parTrace {
+		t.Error("Chrome traces differ between -parallel 1 and 4")
+	}
+}
+
 // TestSweepGridPartialResults exercises the no-first-error-abort policy at
 // the grid level: an unregistered scheme fails its own point only.
 func TestSweepGridPartialResults(t *testing.T) {

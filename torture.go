@@ -7,6 +7,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/hierarchy"
 	"repro/internal/obs"
+	"repro/internal/probe"
 	"repro/internal/recovery"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -219,7 +220,8 @@ func RunTortureMatrix(ctx context.Context, tc TortureConfig, opts SweepOptions) 
 		flavors = AllCrashFlavors()
 	}
 	sink, tsSink := tc.Config.Metrics, tc.Config.Timeseries
-	cfg := detachSinks(tc.Config)
+	cfg := tc.Config
+	cfg.Probe = probe.Probe{} // cells run in parallel and share no sink
 	newWorkload := tc.NewWorkload
 	if newWorkload == nil {
 		newWorkload = defaultTortureWorkload
