@@ -66,6 +66,12 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		}},
 		episode{"encrypt-mac-8k", 0, func() uint64 {
 			eng := NewSystem(cfg, HorusSLM).Core.Enc
+			// The counter is process-wide, and a GC cycle that the set-up
+			// starts wakes the runtime's unique-map cleanup goroutine,
+			// which allocates two objects. Finish that cycle first so it
+			// cannot land inside the loop, which allocates nothing and so
+			// starts no cycle of its own.
+			runtime.GC()
 			return countMallocs(func() {
 				for i := 0; i < 8192; i++ {
 					addr := uint64(i) * 64
@@ -194,5 +200,24 @@ func TestLitmusOracleByteBudget(t *testing.T) {
 	t.Logf("litmus run allocates %d bytes (%d ordering cells, %d coverage cells)", got, len(rep.Cells), len(rep.Coverage))
 	if got > ceiling {
 		t.Errorf("litmus run allocates %d bytes, budget %d", got, ceiling)
+	}
+}
+
+// TestNewSystemStoreByteBudget gates the bytes one DefaultConfig NewSystem
+// build allocates for Horus-SLM and Base-LU. Almost all of it is the NVM
+// store, reserved once from drainFootprint: dense block, address and wear
+// arrays sized to exactly the footprint plus a 12-byte-per-slot address
+// index. It builds machines only and runs no paper-scale drain.
+//
+// The ceilings are the bytes measured with go1.24 on linux/amd64 plus 10%,
+// rounded down: 49,330,576 (Horus-SLM) and 137,509,360 (Base-LU) without
+// -race, 49,337,872 and 137,511,024 with it (84,285,776 and 168,171,904 when
+// every store slot was an 80-byte table entry at a 3/4 load limit rounded up
+// to a power of two).
+func TestNewSystemStoreByteBudget(t *testing.T) {
+	for s, ceiling := range map[Scheme]uint64{HorusSLM: 54_263_633, BaseLU: 151_260_296} {
+		if got := countBytes(func() { NewSystem(DefaultConfig(), s) }); got > ceiling {
+			t.Errorf("%v: NewSystem(DefaultConfig()) allocates %d bytes, budget %d", s, got, ceiling)
+		}
 	}
 }

@@ -221,6 +221,35 @@ func TestCLIs(t *testing.T) {
 		}
 	})
 
+	// The post-recovery verification reads are timed through the MAC
+	// cache, so their order shows in the metrics: two runs must write
+	// byte-identical telemetry.
+	t.Run("runtime-crash-repeats", func(t *testing.T) {
+		outputs := make([][]string, 2)
+		for i := range outputs {
+			dir := t.TempDir()
+			cmd := exec.Command(bins["horus-runtime"], "-ops", "4000", "-crash", "-metrics", "a.prom", "-ts", "a.json")
+			cmd.Dir = dir
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("horus-runtime: %v\n%s", err, out)
+			}
+			outputs[i] = append(outputs[i], string(out))
+			for _, f := range []string{"a.prom", "a.json"} {
+				b, err := os.ReadFile(filepath.Join(dir, f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				outputs[i] = append(outputs[i], string(b))
+			}
+		}
+		for j, what := range []string{"stdout", "-metrics file", "-ts file"} {
+			if outputs[0][j] != outputs[1][j] {
+				t.Errorf("horus-runtime -crash %s differs between two identical runs", what)
+			}
+		}
+	})
+
 	t.Run("plan", func(t *testing.T) {
 		out := run(t, bins["horus-plan"], "-llc", "64")
 		for _, want := range []string{"64 MB LLC", "Horus-SLM", "SuperCap"} {

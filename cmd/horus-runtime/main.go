@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	horus "repro"
 	"repro/internal/cliutil"
@@ -111,9 +112,17 @@ func main() {
 		if err != nil {
 			return cliutil.ExitFail, err
 		}
+		// Each Read is timed and goes through the MAC cache, so visit the
+		// addresses in a fixed (ascending) order: map order would change
+		// the cache hits, and so the metrics, from run to run.
+		addrs := make([]uint64, 0, len(golden))
+		for addr := range golden {
+			addrs = append(addrs, addr)
+		}
+		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		ok := 0
-		for addr, want := range golden {
-			if got, err := ws.Machine.Read(addr); err == nil && got == want {
+		for _, addr := range addrs {
+			if got, err := ws.Machine.Read(addr); err == nil && got == golden[addr] {
 				ok++
 			}
 		}

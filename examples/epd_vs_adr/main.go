@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 
 	horus "repro"
 	"repro/internal/report"
@@ -68,9 +69,16 @@ func main() {
 	if _, err := ws.Recover(res.Persist); err != nil {
 		log.Fatal(err)
 	}
-	for addr, want := range golden {
+	// Reads are timed through the MAC cache: visit addresses in ascending
+	// order so the run repeats exactly.
+	addrs := make([]uint64, 0, len(golden))
+	for addr := range golden {
+		addrs = append(addrs, addr)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	for _, addr := range addrs {
 		got, err := ws.Machine.Read(addr)
-		if err != nil || got != want {
+		if err != nil || got != golden[addr] {
 			log.Fatalf("post-recovery verification failed at %#x: %v", addr, err)
 		}
 	}

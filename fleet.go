@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
@@ -230,14 +230,12 @@ func measureMachine(fc FleetConfig, spec cluster.MachineSpec, sessions int) (m F
 }
 
 // nvmImageHash digests the machine's post-drain NVM image: FNV-1a over
-// (address, block bytes) in ascending address order. Store iteration is
-// unordered, so the addresses are sorted first — the digest is a pure
-// function of the image and therefore byte-identical at any worker count.
+// (address, block bytes) in ascending address order. Store iteration runs
+// in first-write order, so the addresses are sorted first: the digest is a
+// pure function of the image's content, byte-identical at any worker count.
 func nvmImageHash(ws *WorkloadSystem) uint64 {
 	store := ws.Core.NVM.Store()
-	addrs := make([]uint64, 0, store.Populated())
-	store.Each(func(a uint64, _ Block) { addrs = append(addrs, a) })
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	addrs := store.AddressesInRange(0, math.MaxUint64)
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, a := range addrs {

@@ -41,10 +41,11 @@ func (d *Drainer) DrainCHV(blocks []hierarchy.DirtyBlock, dlm bool) sim.Time {
 	nvm.MarkStage("drain:chv-stream")
 
 	// Sharded pipeline: precompute the stream's functional crypto across the
-	// shard-owned engines (nil at -shards=1 or for small drains). The timed
-	// loop below is unchanged either way — it issues the same engine slots
-	// and writes the same bytes, merely skipping the inline byte computation
-	// when a precomputed slot exists (DESIGN.md §13).
+	// shard-owned engines, one window ahead of the loop's first use of it
+	// (nil at -shards=1 or for small drains). The timed loop below is
+	// unchanged either way — it issues the same engine slots and writes the
+	// same bytes, merely skipping the inline byte computation when a
+	// precomputed slot exists (DESIGN.md §13).
 	pre := d.precomputeCHV(blocks, dlm)
 
 	var t sim.Time
@@ -69,7 +70,7 @@ func (d *Drainer) DrainCHV(blocks []hierarchy.DirtyBlock, dlm bool) sim.Time {
 		// One second-level MAC per full (or final partial) group of eight.
 		var l2 cme.MAC
 		if pre != nil {
-			l2 = pre.l2[group]
+			l2 = pre.l2[int(group)-pre.lo/8]
 		} else {
 			l2 = d.sys.Enc.MACOverMACs(DrainPadDomain|group, macReg1)
 		}
@@ -89,12 +90,15 @@ func (d *Drainer) DrainCHV(blocks []hierarchy.DirtyBlock, dlm bool) sim.Time {
 		slot := uint64(i)
 		ctr := d.dc
 		d.dc++
+		if pre != nil && i == pre.hi {
+			pre.fill(i)
+		}
 
 		// Encrypt with the drain counter as IV (Step 1, Fig. 9).
 		tAES := sec.IssueAES(0)
 		var ct mem.Block
 		if pre != nil {
-			ct = pre.ct[i]
+			ct = pre.ct[i-pre.lo]
 		} else {
 			ct = d.sys.Enc.Encrypt(b.Addr|DrainPadDomain, ctr, b.Data)
 		}
@@ -104,7 +108,7 @@ func (d *Drainer) DrainCHV(blocks []hierarchy.DirtyBlock, dlm bool) sim.Time {
 		macReady = sim.MaxTime(macReady, tMAC)
 		var m cme.MAC
 		if pre != nil {
-			m = pre.mac[i]
+			m = pre.mac[i-pre.lo]
 		} else {
 			m = d.sys.Enc.DataMAC(b.Addr|DrainPadDomain, ctr, ct)
 		}

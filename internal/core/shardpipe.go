@@ -56,46 +56,81 @@ func (d *Drainer) shardEngines() []*cme.Engine {
 	return d.engines
 }
 
-// chvPre holds the precomputed functional crypto of one CHV drain: per-block
-// ciphertext and first-level MAC, plus (DLM only) the second-level MAC of
-// every group of eight. Slot i corresponds to drain slot i, counter value
-// startDC+i — exactly the values the serial loop computes inline.
+// chvWindow is how many drain slots the sharded pipeline precomputes at a
+// time. It is a multiple of 8, so every MAC group lies inside one window,
+// and it bounds the precompute's buffers to about 150 KB per drain instead
+// of a ciphertext and a MAC per drained line (20 MB for a paper-scale Horus
+// drain). Outputs are identical at any value; like shardMinBlocks it is a
+// performance constant, not a knob.
+const chvWindow = 2048
+
+// chvPre holds the precomputed functional crypto of one window of a CHV
+// drain: per-slot ciphertext and first-level MAC, plus (DLM only) the
+// second-level MAC of every group of eight. Buffer index k holds drain slot
+// lo+k, counter value dc0+lo+k — exactly the values the serial loop
+// computes inline. The buffers are reused by every window of the walk.
 type chvPre struct {
-	ct  []mem.Block
-	mac []cme.MAC
-	l2  []cme.MAC // one per 8-block group; DLM only
+	blocks  []hierarchy.DirtyBlock
+	dlm     bool
+	dc0     uint64 // counter for drain slot i is dc0+i (the serial loop's d.dc++)
+	engines []*cme.Engine
+	lo, hi  int // the window's drain slots [lo, hi)
+	ct      []mem.Block
+	mac     []cme.MAC
+	l2      []cme.MAC // one per 8-block group; DLM only
 }
 
-// precomputeCHV fans the CHV stream's crypto out across the shard engines.
-// Worker ranges are 8-aligned so each MAC group (the unit the DLM
-// second-level MAC folds over) lives entirely inside one worker's range.
+// precomputeCHV prepares the CHV stream's windowed crypto precompute over
+// the shard engines; the serial loop fills each window as it reaches it.
 func (d *Drainer) precomputeCHV(blocks []hierarchy.DirtyBlock, dlm bool) *chvPre {
 	if d.shards <= 1 || len(blocks) < shardMinBlocks {
 		return nil
 	}
-	n := len(blocks)
-	pre := &chvPre{ct: make([]mem.Block, n), mac: make([]cme.MAC, n)}
-	if dlm {
-		pre.l2 = make([]cme.MAC, (n+7)/8)
+	w := min(len(blocks), chvWindow)
+	pre := &chvPre{
+		blocks:  blocks,
+		dlm:     dlm,
+		dc0:     d.dc,
+		engines: d.shardEngines(),
+		ct:      make([]mem.Block, w),
+		mac:     make([]cme.MAC, w),
 	}
-	engines := d.shardEngines()
-	dc0 := d.dc // counter for drain slot i is dc0+i (the serial loop's d.dc++)
-	shard.Run(d.shards, func(w int) {
-		lo, hi := shard.CutAligned(n, d.shards, w, 8)
-		eng := engines[w]
-		for i := lo; i < hi; i++ {
-			a := blocks[i].Addr | DrainPadDomain
-			ctr := dc0 + uint64(i)
-			ct := eng.Encrypt(a, ctr, blocks[i].Data)
-			pre.ct[i] = ct
-			pre.mac[i] = eng.DataMAC(a, ctr, ct)
+	if dlm {
+		pre.l2 = make([]cme.MAC, (w+7)/8)
+	}
+	return pre
+}
+
+// fill computes the window starting at drain slot lo (a multiple of
+// chvWindow) across the shard engines. Worker ranges are 8-aligned so each
+// MAC group (the unit the DLM second-level MAC folds over) lives entirely
+// inside one worker's range.
+func (p *chvPre) fill(lo int) {
+	n := min(len(p.blocks)-lo, chvWindow)
+	p.lo, p.hi = lo, lo+n
+	g0 := lo / 8
+	shard.Run(len(p.engines), func(w int) {
+		wlo, whi := shard.CutAligned(n, len(p.engines), w, 8)
+		if wlo == whi {
+			// More workers than MAC groups: an empty range ends at n,
+			// inside the last worker's partial group, which it must
+			// not fold again.
+			return
 		}
-		if dlm {
-			for g := lo / 8; g*8 < hi; g++ {
+		eng := p.engines[w]
+		for k := wlo; k < whi; k++ {
+			b := &p.blocks[lo+k]
+			a := b.Addr | DrainPadDomain
+			ctr := p.dc0 + uint64(lo+k)
+			ct := eng.Encrypt(a, ctr, b.Data)
+			p.ct[k] = ct
+			p.mac[k] = eng.DataMAC(a, ctr, ct)
+		}
+		if p.dlm {
+			for g := wlo / 8; g*8 < whi; g++ {
 				end := min(g*8+8, n)
-				pre.l2[g] = eng.MACOverMACs(DrainPadDomain|uint64(g), pre.mac[g*8:end])
+				p.l2[g] = eng.MACOverMACs(DrainPadDomain|uint64(g0+g), p.mac[g*8:end])
 			}
 		}
 	})
-	return pre
 }

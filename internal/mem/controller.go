@@ -203,8 +203,8 @@ func (c *Controller) Store() *Store { return c.store }
 // recycled crash stores) need not copy it in block by block.
 func (c *Controller) UseStore(s *Store) { c.store = s }
 
-// Reserve pre-sizes the backing store (fused block content + wear entries)
-// for an expected footprint of n populated blocks (see Store.Reserve).
+// Reserve pre-sizes the backing store for an expected footprint of n
+// populated blocks (see Store.Reserve).
 // Without it the store grows on demand.
 func (c *Controller) Reserve(n int) {
 	c.store.Reserve(n)
@@ -271,11 +271,11 @@ func (c *Controller) Read(ready sim.Time, addr uint64, cat Category) (Block, sim
 // faulted view — possibly torn, bit-flipped, or not committed at all.
 // Inside Functionally only the wear count and the commit remain.
 func (c *Controller) Write(ready sim.Time, addr uint64, b Block, cat Category) sim.Time {
-	// One probe serves the whole access: the fused entry carries the wear
-	// count and the content slot. Nothing below inserts into the store (the
-	// observer and the sinks only read), so the pointer stays valid.
-	e := c.store.entry(addr)
-	e.wear++
+	// One index probe serves the whole access: the block's position
+	// addresses both its wear count and its content.
+	st := c.store
+	i := st.pos(addr)
+	st.wear[i]++
 	done := ready
 	if !c.functional {
 		c.writes.Add(string(cat), 1)
@@ -301,9 +301,9 @@ func (c *Controller) Write(ready sim.Time, addr uint64, b Block, cat Category) s
 	}
 	if c.fault != nil {
 		if f := c.fault.OnWrite(addr, cat); f.Kind != FaultNone {
-			nb, commit := applyFault(f, e.b, b)
+			nb, commit := applyFault(f, st.blocks[i], b)
 			if commit {
-				e.b = nb
+				st.blocks[i] = nb
 				if c.recorder != nil {
 					c.recorder.OnWriteCommitted(addr, cat, nb)
 				}
@@ -311,7 +311,7 @@ func (c *Controller) Write(ready sim.Time, addr uint64, b Block, cat Category) s
 			return done
 		}
 	}
-	e.b = b
+	st.blocks[i] = b
 	if c.recorder != nil {
 		c.recorder.OnWriteCommitted(addr, cat, b)
 	}

@@ -372,10 +372,10 @@ func TestControllerWriteReadProperty(t *testing.T) {
 	}
 }
 
-// TestControllerWearThroughFusedEntries pins that the fused store entry
-// reproduces the former separate wear table: timed writes wear, functional
-// writes do not, resets preserve wear, and the stats filter zero-wear
-// entries out of UniqueBlocks.
+// TestControllerWearThroughFusedEntries pins that the store's dense wear
+// array reproduces the former separate wear table: timed writes wear,
+// functional WriteBlock writes do not, resets preserve wear, and the stats
+// filter zero-wear entries out of UniqueBlocks.
 func TestControllerWearThroughFusedEntries(t *testing.T) {
 	c := NewController(DefaultConfig())
 	var b Block

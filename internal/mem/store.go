@@ -6,6 +6,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/addrmap"
@@ -27,24 +28,26 @@ func (b *Block) IsZero() bool {
 	return true
 }
 
-// storeEntry is one populated block's state: its content plus its lifetime
-// write (wear) count. Fusing the two means the controller's per-write hot
-// path probes one table once instead of a block table and a wear table.
-type storeEntry struct {
-	b    Block
-	wear int64
-}
+// minBlocks is the dense arrays' first capacity when a store grows on
+// demand: the index's first capacity (64 slots at its 3/4 load limit), so
+// an unreserved store grows its arrays and its index in step.
+const minBlocks = 48
 
 // Store is a sparse functional memory: unwritten blocks read as zero.
 // Addresses are byte addresses and must be 64-byte aligned.
 //
-// Blocks live in one open-addressed table (internal/addrmap) rather than a Go
-// map: every timed access funnels through ReadBlock/WriteBlock, so the probe
-// cost and the map's per-bucket overhead are on the simulator's hottest path.
-// The table grows on demand; code that knows a machine's footprint up front
-// sizes it once with Reserve.
+// Populated blocks live densely, in insertion order: blocks[i] is one
+// 64-byte host cache line holding the content of addrs[i], and wear[i] is
+// its lifetime write count. An open-addressed index (internal/addrmap) maps
+// an address to its position, so every timed access funnels through one
+// index probe and then touches only that block's own line and wear word.
+// The dense arrays grow by explicit doubling; code that knows a machine's
+// footprint up front sizes the store once, exactly, with Reserve.
 type Store struct {
-	m addrmap.Map[storeEntry]
+	index  addrmap.Map[int32]
+	addrs  []uint64
+	blocks []Block
+	wear   []int64
 }
 
 // NewStore returns an empty store.
@@ -59,70 +62,124 @@ func checkAligned(addr uint64) {
 // ReadBlock returns the content of the block at addr (zero if never written).
 func (s *Store) ReadBlock(addr uint64) Block {
 	checkAligned(addr)
-	e, _ := s.m.Get(addr)
-	return e.b
+	if i, ok := s.index.Get(addr); ok {
+		return s.blocks[i]
+	}
+	return Block{}
 }
 
 // WriteBlock stores b at addr without touching the wear count (functional
 // writes from tests and recovery are not medium writes).
 func (s *Store) WriteBlock(addr uint64, b Block) {
-	checkAligned(addr)
-	s.m.Ref(addr).b = b
+	s.blocks[s.pos(addr)] = b
 }
 
-// entry returns a pointer to the block's fused content+wear entry, inserting
-// a zero entry if absent. The pointer is invalidated by the next insertion
-// (table growth); the controller uses it strictly within one access.
-func (s *Store) entry(addr uint64) *storeEntry {
+// pos returns the block's position in the dense arrays, appending a zero
+// block with zero wear if absent: one index probe either way. A position
+// stays valid for the store's lifetime (nothing is ever deleted).
+func (s *Store) pos(addr uint64) int {
 	checkAligned(addr)
-	return s.m.Ref(addr)
+	n := s.index.Len()
+	p := s.index.Ref(addr)
+	if s.index.Len() == n {
+		return int(*p)
+	}
+	i := len(s.blocks)
+	if i == math.MaxInt32 {
+		panic("mem: more blocks than the int32 store index holds")
+	}
+	if i == cap(s.blocks) {
+		s.resize(max(2*i, minBlocks))
+	}
+	*p = int32(i)
+	s.addrs = append(s.addrs, addr)
+	s.blocks = append(s.blocks, Block{})
+	s.wear = append(s.wear, 0)
+	return i
+}
+
+// resize moves the dense arrays to capacity c (at least their length).
+// Growth always comes through here with an explicit size, never through
+// append's own growth rule.
+func (s *Store) resize(c int) {
+	addrs := make([]uint64, len(s.addrs), c)
+	blocks := make([]Block, len(s.blocks), c)
+	wear := make([]int64, len(s.wear), c)
+	copy(addrs, s.addrs)
+	copy(blocks, s.blocks)
+	copy(wear, s.wear)
+	s.addrs, s.blocks, s.wear = addrs, blocks, wear
 }
 
 // wearOf returns the lifetime write count of one block.
 func (s *Store) wearOf(addr uint64) int64 {
-	e, _ := s.m.Get(addr)
-	return e.wear
+	if i, ok := s.index.Get(addr); ok {
+		return s.wear[i]
+	}
+	return 0
 }
 
 // eachWear calls fn for every block with a non-zero wear count, in
-// unspecified order. Blocks only ever written functionally (wear zero) are
-// skipped, preserving the semantics of the former separate wear table.
+// insertion order. Blocks only ever written functionally (wear zero) are
+// skipped.
 func (s *Store) eachWear(fn func(addr uint64, wear int64)) {
-	s.m.Each(func(a uint64, e storeEntry) {
-		if e.wear != 0 {
-			fn(a, e.wear)
+	for i, w := range s.wear {
+		if w != 0 {
+			fn(s.addrs[i], w)
 		}
-	})
+	}
 }
 
 // Populated returns the number of blocks that have been written.
-func (s *Store) Populated() int { return s.m.Len() }
+func (s *Store) Populated() int { return len(s.blocks) }
 
-// Cap returns how many blocks the store holds before its table next grows.
-func (s *Store) Cap() int { return s.m.Cap() }
+// Cap returns how many blocks the store holds before it next allocates:
+// the smaller of the dense arrays' capacity and the index's.
+func (s *Store) Cap() int { return min(cap(s.blocks), s.index.Cap()) }
 
-// Reserve pre-sizes the store for at least n populated blocks, so a write
-// burst of known footprint doesn't pay repeated table-growth rehashes. It
-// never shrinks and is safe at any time.
-func (s *Store) Reserve(n int) { s.m.Reserve(n) }
-
-// Snapshot returns a deep copy of the store, used by tests to compare
-// pre-crash and post-recovery memory images.
-func (s *Store) Snapshot() *Store {
-	return &Store{m: s.m.Clone()}
+// Reserve sizes the store for at least n populated blocks, so a write burst
+// of known footprint never grows it: the index for n entries, and the dense
+// arrays to exactly n (not to the index's power-of-two capacity). It never
+// shrinks and is safe at any time.
+func (s *Store) Reserve(n int) {
+	s.index.Reserve(n)
+	if cap(s.blocks) < n {
+		s.resize(n)
+	}
 }
 
-// CopyFrom makes s a slot-for-slot copy of src: the same blocks, wear counts
-// and table layout, so iteration order and later insertions match src. A
-// store whose table already has src's size is overwritten in place without
-// allocating, which lets the litmus oracle recycle one store across cells.
-func (s *Store) CopyFrom(src *Store) { s.m.CopyFrom(&src.m) }
+// Snapshot returns a deep copy of the store, with the same capacity, used
+// by tests to compare pre-crash and post-recovery memory images.
+func (s *Store) Snapshot() *Store {
+	out := NewStore()
+	out.CopyFrom(s)
+	return out
+}
 
-// Each calls fn for every populated block, in unspecified order. The litmus
-// harness uses it to copy a snapshotted image into a fresh system's store;
-// callers needing a deterministic order should collect and sort.
+// CopyFrom makes s a copy of src: the same blocks and wear counts in the
+// same insertion order, and the same capacity. It reuses s's index when that
+// has src's size, and s's dense arrays when they have at least src's
+// capacity, so a store recycled against one source allocates nothing; that
+// lets the litmus oracle reuse one store across cells.
+func (s *Store) CopyFrom(src *Store) {
+	s.index.CopyFrom(&src.index)
+	c := cap(src.blocks)
+	if cap(s.blocks) < c {
+		s.addrs, s.blocks, s.wear = nil, nil, nil // resize copies nothing
+		s.resize(c)
+	}
+	s.addrs = append(s.addrs[:0:c], src.addrs...)
+	s.blocks = append(s.blocks[:0:c], src.blocks...)
+	s.wear = append(s.wear[:0:c], src.wear...)
+}
+
+// Each calls fn for every populated block in insertion order (the order of
+// each address's first write), so its output is deterministic. fn must not
+// write to the store.
 func (s *Store) Each(fn func(addr uint64, b Block)) {
-	s.m.Each(func(a uint64, e storeEntry) { fn(a, e.b) })
+	for i, a := range s.addrs {
+		fn(a, s.blocks[i])
+	}
 }
 
 // AddressesInRange returns the sorted addresses of populated blocks within
@@ -130,11 +187,11 @@ func (s *Store) Each(fn func(addr uint64, b Block)) {
 // the full (sparse) address space.
 func (s *Store) AddressesInRange(lo, hi uint64) []uint64 {
 	var out []uint64
-	s.m.Each(func(a uint64, _ storeEntry) {
+	for _, a := range s.addrs {
 		if a >= lo && a < hi {
 			out = append(out, a)
 		}
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -143,9 +200,8 @@ func (s *Store) AddressesInRange(lo, hi uint64) []uint64 {
 // block at addr. It is used by attack-injection tests and returns the
 // previous block content.
 func (s *Store) CorruptByte(addr uint64, byteOffset int, bitMask byte) Block {
-	checkAligned(addr)
-	p := s.m.Ref(addr)
-	old := p.b
-	p.b[byteOffset] ^= bitMask
+	p := &s.blocks[s.pos(addr)]
+	old := *p
+	p[byteOffset] ^= bitMask
 	return old
 }

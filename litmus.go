@@ -366,10 +366,16 @@ func recordLitmusEpisode(cfg Config, scheme Scheme, w *Workload) (*litmusEpisode
 	// which NVM writes became durable); mid-drain epochs use the snapshot
 	// taken at their barrier.
 	ep.snaps[len(ep.snaps)-1] = res.Persist
-	// The drained image holds every block a materialised image can, so no
-	// cell's replay grows base's table.
+	// The drained image holds every block a materialised image can, and a
+	// recovery adds at most the home blocks of the metadata lines it
+	// re-installs from the vault, so no cell's replay or recovery grows a
+	// store copied from base.
+	vault := 0
+	for _, ps := range ep.snaps {
+		vault = max(vault, ps.Vault.Count)
+	}
 	ep.base = mem.NewStore()
-	ep.base.Reserve(ws.Core.NVM.Store().Populated())
+	ep.base.Reserve(ws.Core.NVM.Store().Populated() + vault)
 	ep.pre.Each(func(a uint64, b mem.Block) { ep.base.WriteBlock(a, b) })
 	ep.complete = ep.base.Snapshot()
 	for _, w := range ep.writes {

@@ -181,13 +181,13 @@ func FuzzLitmusOrdering(f *testing.F) {
 }
 
 // refMaterialize is the materialiser as first written, kept as the
-// reference for the recycled one: a fresh store reserved for the drained
-// (complete) image, the pre-drain image copied in block by block, then every write
-// before epoch ei and the applied subset of epoch ei replayed.
+// reference for the recycled one: a fresh store reserved as the recorder
+// reserves base, the pre-drain image copied in block by block, then every
+// write before epoch ei and the applied subset of epoch ei replayed.
 func (ep *litmusEpisode) refMaterialize(cfg Config, ei int, applied []int) *core.System {
 	sys, _ := newCoreSystem(cfg, ep.scheme, true)
 	st := sys.NVM.Store()
-	st.Reserve(ep.complete.Populated())
+	st.Reserve(ep.base.Cap())
 	ep.pre.Each(func(a uint64, b mem.Block) { st.WriteBlock(a, b) })
 	e := ep.epochs[ei]
 	for _, w := range ep.writes[:e.Lo] {
@@ -297,6 +297,9 @@ func TestLitmusMaterializeMatchesReference(t *testing.T) {
 		}
 		if len(ep.spare) != 1 || ep.spare[0] != store {
 			t.Fatalf("%v: %d spare stores after the coverage trial, want the one recycled store", s, len(ep.spare))
+		}
+		if store.Cap() != ep.base.Cap() {
+			t.Fatalf("%v: the coverage trial's recovery grew the recycled store from %d to %d blocks", s, ep.base.Cap(), store.Cap())
 		}
 		if d := diffImages(storeController(store), ep.refMaterialize(cfg, last, all).NVM); d == "" {
 			t.Fatalf("%v: recovery and corruption left the recycled store unchanged", s)

@@ -49,7 +49,9 @@ func drainArtifacts(t *testing.T, scheme Scheme, shards int) (Result, []uint64, 
 // every scheme, a drain at -shards=N (N in {2, 4, 8}) is byte-identical to
 // the serial -shards=1 drain — same Result (times, counters, persistent
 // registers including the tree and vault roots), same NVM bytes at every
-// populated address, same event timeline, same time-series JSON.
+// populated address, same event timeline, same time-series JSON. TestConfig
+// drains 5,152 lines, so a CHV drain crosses two boundaries of the
+// 2,048-slot precompute window and ends inside a third window.
 func TestShardedDrainDeterminism(t *testing.T) {
 	for _, scheme := range AllSchemes() {
 		res1, addrs1, blocks1, rec1, ts1 := drainArtifacts(t, scheme, 1)
@@ -117,6 +119,40 @@ func TestBaselineDrainAllocsIndependentOfShards(t *testing.T) {
 			t.Errorf("%v: drain allocates %d objects at shards=4, %d at shards=1 (slack %d)",
 				scheme, sharded, serial, baselineDrainAllocSlack)
 		}
+	}
+}
+
+// chvPrecomputeByteSlack bounds how many more bytes a Horus-DLM drain at
+// Shards=4 may allocate than at Shards=1: one precompute window (2,048
+// drain slots of ciphertext, MAC and second-level MAC, about 146 KB) plus
+// the shard engine clones. Measured with go1.24 on linux/amd64: 152,176
+// bytes at TestConfig's 5,152 lines (392,176 when the precompute held one
+// slot per drained line).
+const chvPrecomputeByteSlack = 192 << 10
+
+// TestCHVPrecomputeBytesBounded keeps the sharded CHV precompute windowed:
+// its buffers must not grow with the number of drained lines.
+func TestCHVPrecomputeBytesBounded(t *testing.T) {
+	drainBytes := func(shards int) uint64 {
+		cfg := TestConfig()
+		cfg.Shards = shards
+		sys := NewSystem(cfg, HorusDLM)
+		if err := sys.Warmup(); err != nil {
+			t.Fatalf("shards=%d: warmup: %v", shards, err)
+		}
+		sys.Fill()
+		var err error
+		n := countBytes(func() { _, err = sys.Drain() })
+		if err != nil {
+			t.Fatalf("shards=%d: drain: %v", shards, err)
+		}
+		return n
+	}
+	serial, sharded := drainBytes(1), drainBytes(4)
+	t.Logf("Horus-DLM drain allocates %d bytes at shards=1, %d at shards=4", serial, sharded)
+	if sharded > serial+chvPrecomputeByteSlack {
+		t.Errorf("Horus-DLM drain allocates %d bytes at shards=4, %d at shards=1 (slack %d)",
+			sharded, serial, chvPrecomputeByteSlack)
 	}
 }
 
