@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/addrmap"
 	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/obs/evlog"
 	"repro/internal/recovery"
 	"repro/internal/sim"
@@ -14,9 +13,9 @@ import (
 // classifyOutcome is the shared recovery oracle behind the torture matrix
 // and the litmus reordering checker: given a crashed system (volatile state
 // already discarded, root register restored from ps), it runs the scheme's
-// recovery path and classifies the result against the pre-crash golden
-// image. interrupted states whether the crash state legitimately misses
-// drain writes (a cut mid-drain, or a reordered epoch prefix); only then is
+// recovery path and classifies the result against the drained blocks.
+// interrupted states whether the crash state legitimately misses drain
+// writes (a cut mid-drain, or a reordered epoch prefix); only then is
 // authentic-but-stale or missing data an acceptable OutcomePartial.
 //
 // The returned Forensic explains a detection (failing check, region,
@@ -29,23 +28,55 @@ import (
 // simulation schedules recovery storms from it, and it accumulates even
 // when the verdict is a detection partway through.
 func classifyOutcome(cs *core.System, ps PersistentState,
-	golden map[uint64]mem.Block, blocks []DirtyBlock, interrupted bool) (CrashOutcome, string, *Forensic, sim.Time) {
+	blocks []DirtyBlock, interrupted bool) (CrashOutcome, string, *Forensic, sim.Time) {
 	if cs.Evlog == nil {
 		cs.Evlog = evlog.New(evlog.DefaultChainLimit)
 	}
 	if ps.Scheme.UsesCHV() {
-		return classifyHorusOutcome(cs, ps, golden, blocks, interrupted)
+		return classifyHorusOutcome(cs, ps, blocks, interrupted)
 	}
-	return classifyBaselineOutcome(cs, ps, golden, blocks, interrupted)
+	return classifyBaselineOutcome(cs, ps, blocks, interrupted)
+}
+
+// drainIndex maps each drained block's address to its position in blocks.
+func drainIndex(blocks []DirtyBlock) addrmap.Map[int32] {
+	var index addrmap.Map[int32]
+	index.Reserve(len(blocks))
+	for i, b := range blocks {
+		*index.Ref(b.Addr) = int32(i)
+	}
+	return index
+}
+
+// checkRecovered holds CHV-recovered blocks to the drain: each must sit at a
+// drained address (index maps it into blocks) with the drained bytes. It
+// returns the first violation, or "" and how many drained blocks are missing.
+func checkRecovered(recovered, blocks []DirtyBlock, index *addrmap.Map[int32]) (string, int) {
+	back := make([]bool, len(blocks))
+	missing := len(blocks)
+	for _, b := range recovered {
+		i, ok := index.Get(b.Addr)
+		if !ok {
+			return fmt.Sprintf("recovered block at %#x was never drained", b.Addr), 0
+		}
+		if b.Data != blocks[i].Data {
+			return fmt.Sprintf("recovered wrong bytes at %#x with verified MACs", b.Addr), 0
+		}
+		if !back[i] {
+			back[i] = true
+			missing--
+		}
+	}
+	return "", missing
 }
 
 // classifyHorusOutcome recovers the CHV directly (RestoreMetadataVault +
 // RecoverHorus, without refilling a machine) and compares the recovered
-// blocks against golden. Direct comparison keeps the verdict about the CHV:
+// blocks against blocks. Direct comparison keeps the verdict about the CHV:
 // refilling a machine would route reads through the secure controller and
 // conflate CHV verification with metadata-residue verification.
 func classifyHorusOutcome(cs *core.System, ps PersistentState,
-	golden map[uint64]mem.Block, blocks []DirtyBlock, interrupted bool) (CrashOutcome, string, *Forensic, sim.Time) {
+	blocks []DirtyBlock, interrupted bool) (CrashOutcome, string, *Forensic, sim.Time) {
 	cs.NVM.ResetStats()
 	cs.Sec.ResetStats()
 	var elapsed sim.Time
@@ -63,29 +94,11 @@ func classifyHorusOutcome(cs *core.System, ps PersistentState,
 		o, d, f := classifyRecoveryError(err, "CHV recovery")
 		return o, d, f, elapsed
 	}
-	var drained, recovered addrmap.Map[struct{}]
-	drained.Reserve(len(blocks))
-	for _, b := range blocks {
-		drained.Ref(b.Addr)
-	}
-	recovered.Reserve(len(res.Blocks))
-	for _, b := range res.Blocks {
-		want, ok := golden[b.Addr]
-		if !ok || !drained.Has(b.Addr) {
-			return OutcomeSilentCorruption, fmt.Sprintf("recovered block at %#x was never drained", b.Addr), nil, elapsed
-		}
-		if b.Data != want {
-			return OutcomeSilentCorruption, fmt.Sprintf("recovered wrong bytes at %#x with verified MACs", b.Addr), nil, elapsed
-		}
-		recovered.Ref(b.Addr)
-	}
-	missing := 0
-	for _, b := range blocks {
-		if !recovered.Has(b.Addr) {
-			missing++
-		}
-	}
+	index := drainIndex(blocks)
+	detail, missing := checkRecovered(res.Blocks, blocks, &index)
 	switch {
+	case detail != "":
+		return OutcomeSilentCorruption, detail, nil, elapsed
 	case missing == 0:
 		return OutcomeRestored, "", nil, elapsed
 	case interrupted:
@@ -100,13 +113,13 @@ func classifyHorusOutcome(cs *core.System, ps PersistentState,
 // classifyBaselineOutcome restores the metadata vault and then re-reads every
 // drained block through the secure read path, functionally (ProbeBlock): the
 // cell's time is recovery's alone, so the probe sweep books no simulated
-// time. Each block must come back as its golden bytes, fail verification
+// time. Each block must come back as its drained bytes, fail verification
 // with a typed error, or — only when the drain was interrupted — come back
 // as an older authentic value (the MACs are real keyed functions in this
-// simulator, so a verified non-golden value is a stale authentic one, not
-// forged bytes).
+// simulator, so a verified value that differs is a stale authentic one,
+// not forged bytes).
 func classifyBaselineOutcome(cs *core.System, ps PersistentState,
-	golden map[uint64]mem.Block, blocks []DirtyBlock, interrupted bool) (CrashOutcome, string, *Forensic, sim.Time) {
+	blocks []DirtyBlock, interrupted bool) (CrashOutcome, string, *Forensic, sim.Time) {
 	cs.NVM.ResetStats()
 	cs.Sec.ResetStats()
 	br, err := recovery.RecoverBaseline(cs, ps)
@@ -132,7 +145,7 @@ func classifyBaselineOutcome(cs *core.System, ps PersistentState,
 			detected++
 			continue
 		}
-		if got != golden[b.Addr] {
+		if got != b.Data {
 			stale++
 		}
 	}

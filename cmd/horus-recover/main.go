@@ -52,7 +52,7 @@ func main() {
 			return cliutil.ExitFail, err
 		}
 		n := sys.Fill()
-		golden := sys.Hierarchy.Golden()
+		pre := append([]horus.DirtyBlock(nil), sys.Hierarchy.DirtyBlocks()...) // recovery refills the hierarchy
 		fmt.Printf("filled hierarchy: %s dirty blocks\n", report.Count(int64(n)))
 
 		res, err := sys.Drain()
@@ -120,13 +120,13 @@ func main() {
 		fmt.Printf("recovered in %v\n", rec.Time())
 		if scheme.UsesCHV() {
 			ok := 0
-			for addr, want := range golden {
-				if got, found := sys.Hierarchy.Read(addr); found && got == want {
+			for _, b := range pre {
+				if got, found := sys.Hierarchy.Read(b.Addr); found && got == b.Data {
 					ok++
 				}
 			}
 			fmt.Printf("verified %s/%s recovered blocks match pre-crash contents\n",
-				report.Count(int64(ok)), report.Count(int64(len(golden))))
+				report.Count(int64(ok)), report.Count(int64(len(pre))))
 		} else {
 			fmt.Printf("metadata-cache vault re-installed (%d lines); in-place data verifies\n", res.Persist.Vault.Count)
 		}

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	horus "repro"
 	"repro/internal/cliutil"
@@ -98,7 +97,7 @@ func main() {
 			env.PrintSpans()
 			return cliutil.ExitOK, nil
 		}
-		res, golden, err := ws.CrashAndDrain()
+		res, image, err := ws.CrashAndDrain()
 		if err != nil {
 			return cliutil.ExitFail, err
 		}
@@ -112,21 +111,15 @@ func main() {
 		if err != nil {
 			return cliutil.ExitFail, err
 		}
-		// Each Read is timed and goes through the MAC cache, so visit the
-		// addresses in a fixed (ascending) order: map order would change
-		// the cache hits, and so the metrics, from run to run.
-		addrs := make([]uint64, 0, len(golden))
-		for addr := range golden {
-			addrs = append(addrs, addr)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		// Each Read is timed and goes through the MAC cache; the image is
+		// sorted by address, so the cache hits repeat from run to run.
 		ok := 0
-		for _, addr := range addrs {
-			if got, err := ws.Machine.Read(addr); err == nil && got == golden[addr] {
+		for _, b := range image {
+			if got, err := ws.Machine.Read(b.Addr); err == nil && got == b.Data {
 				ok++
 			}
 		}
-		fmt.Printf("recovered in %v; verified %d/%d pre-crash values\n", rec.Time(), ok, len(golden))
+		fmt.Printf("recovered in %v; verified %d/%d pre-crash values\n", rec.Time(), ok, len(image))
 		env.PrintSpans()
 		return cliutil.ExitOK, nil
 	})

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 
 	horus "repro"
 	"repro/internal/report"
@@ -62,24 +61,19 @@ func main() {
 	if err := ws.Run(horus.TxLogWorkload(wcfg, 2, 4)); err != nil {
 		log.Fatal(err)
 	}
-	res, golden, err := ws.CrashAndDrain()
+	res, image, err := ws.CrashAndDrain()
 	if err != nil {
 		log.Fatal(err)
 	}
 	if _, err := ws.Recover(res.Persist); err != nil {
 		log.Fatal(err)
 	}
-	// Reads are timed through the MAC cache: visit addresses in ascending
-	// order so the run repeats exactly.
-	addrs := make([]uint64, 0, len(golden))
-	for addr := range golden {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		got, err := ws.Machine.Read(addr)
-		if err != nil || got != golden[addr] {
-			log.Fatalf("post-recovery verification failed at %#x: %v", addr, err)
+	// Reads are timed through the MAC cache; the image is sorted by
+	// address, so the run repeats exactly.
+	for _, b := range image {
+		got, err := ws.Machine.Read(b.Addr)
+		if err != nil || got != b.Data {
+			log.Fatalf("post-recovery verification failed at %#x: %v", b.Addr, err)
 		}
 	}
 	fmt.Printf("crash mid-run: drained %d dirty lines in %v, recovered and verified all of them\n",

@@ -201,7 +201,6 @@ func measureMachine(fc FleetConfig, spec cluster.MachineSpec, sessions int) (m F
 		return m
 	}
 
-	golden := ws.Machine.Golden()
 	blocks := ws.Machine.DirtyBlocks()
 	m.Blocks = len(blocks)
 	res, err := ws.drainer.Drain(blocks)
@@ -215,14 +214,14 @@ func measureMachine(fc FleetConfig, spec cluster.MachineSpec, sessions int) (m F
 	m.Run.DrainEnergyJ = cfg.EnergyOf(res).Total()
 
 	// Power loss: volatile state gone, then the recovery oracle replays
-	// the scheme's recovery path against the golden image and attributes
+	// the scheme's recovery path against the drained blocks and attributes
 	// its simulated duration.
 	ws.Machine.Crash()
 	if ws.Core.Sec != nil {
 		ws.Core.Sec.Crash()
 	}
 	var recoverTime sim.Time
-	m.Outcome, m.Detail, _, recoverTime = classifyOutcome(ws.Core, res.Persist, golden, blocks, false)
+	m.Outcome, m.Detail, _, recoverTime = classifyOutcome(ws.Core, res.Persist, blocks, false)
 	m.Run.RecoverPs = int64(recoverTime)
 	m.Run.Outcome = m.Outcome.String()
 	m.ImageHash = nvmImageHash(ws)

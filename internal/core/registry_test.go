@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/hierarchy"
@@ -83,8 +84,15 @@ func (s *trivialScheme) Drain(d *Drainer, blocks []hierarchy.DirtyBlock) (sim.Ti
 	return d.DrainInPlace(blocks), nil
 }
 
+// trivialTest is the custom scheme, registered once per process: the scheme
+// table is process-wide, so a repeated run (go test -count=N) must not
+// register the name again.
+var trivialTest = sync.OnceValue(func() Scheme {
+	return Register("Trivial-Test", func() DrainScheme { return &trivialScheme{} })
+})
+
 func TestRegisterCustomScheme(t *testing.T) {
-	s := Register("Trivial-Test", func() DrainScheme { return &trivialScheme{} })
+	s := trivialTest()
 	got, err := Lookup("Trivial-Test")
 	if err != nil || got != s {
 		t.Fatalf("Lookup after Register = (%v, %v), want (%v, nil)", got, err, s)

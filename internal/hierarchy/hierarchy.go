@@ -162,8 +162,8 @@ func (h *Hierarchy) DirtyBlocksShuffled(rng *rand.Rand) []DirtyBlock {
 	return out
 }
 
-// Golden returns a copy of the dirty contents keyed by address, used by
-// end-to-end tests to check recovery.
+// Golden returns a copy of the dirty contents keyed by address. It remains
+// for the host-cost benchmark's recovery checks; harnesses use DirtyBlocks.
 func (h *Hierarchy) Golden() map[uint64]mem.Block {
 	out := make(map[uint64]mem.Block, len(h.blocks))
 	for _, b := range h.blocks {

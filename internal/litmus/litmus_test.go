@@ -249,8 +249,13 @@ func TestSampleOrderingAdmissible(t *testing.T) {
 }
 
 // refSampleOne is the map-of-positions coherence fix-up sampleOne used to
-// run; it is kept as the reference sampled orderings must match bit for bit.
-func refSampleOne(writes []Write, groups map[uint64][]int, r *rng) Ordering {
+// run, over address groups kept in a map; it is kept as the reference
+// sampled orderings must match bit for bit.
+func refSampleOne(writes []Write, r *rng) Ordering {
+	groups := make(map[uint64][]int)
+	for i, w := range writes {
+		groups[w.Addr] = append(groups[w.Addr], i)
+	}
 	n := len(writes)
 	perm := make([]int, n)
 	for i := range perm {
@@ -285,7 +290,7 @@ func TestSampleOneMatchesReference(t *testing.T) {
 	for _, w := range [][]Write{bigEpoch(23), bigEpoch(64), skewedEpoch(57)} {
 		groups := addrGroups(w)
 		for seed := uint64(0); seed < 100; seed++ {
-			got, want := sampleOne(w, groups, &rng{state: seed}), refSampleOne(w, groups, &rng{state: seed})
+			got, want := sampleOne(w, groups, &rng{state: seed}), refSampleOne(w, &rng{state: seed})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%d writes, seed %d: sampled %v, reference %v", len(w), seed, got.Applied, want.Applied)
 			}

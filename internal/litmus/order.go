@@ -3,6 +3,8 @@ package litmus
 import (
 	"sort"
 	"strconv"
+
+	"repro/internal/addrmap"
 )
 
 // Ordering is one admissible crash state of an epoch: the subset of the
@@ -98,20 +100,27 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// addrGroups maps each address to the ascending epoch-relative indices of
-// its writes — the per-address program order admissibility preserves.
-func addrGroups(writes []Write) map[uint64][]int {
-	g := make(map[uint64][]int)
+// addrGroups lists, per address in first-appearance order, the ascending
+// epoch-relative indices of its writes — the per-address program order
+// admissibility preserves.
+func addrGroups(writes []Write) [][]int {
+	var groups [][]int
+	var index addrmap.Map[int32] // address -> group number plus one
 	for i, w := range writes {
-		g[w.Addr] = append(g[w.Addr], i)
+		g := index.Ref(w.Addr)
+		if *g == 0 {
+			groups = append(groups, nil)
+			*g = int32(len(groups))
+		}
+		groups[*g-1] = append(groups[*g-1], i)
 	}
-	return g
+	return groups
 }
 
 // closure returns the smallest admissible superset of set (as a member
 // bitmap): for every address, if the k-th write to it is in, so are writes
 // 0..k-1 to it.
-func closure(in []bool, groups map[uint64][]int) []bool {
+func closure(in []bool, groups [][]int) []bool {
 	out := append([]bool(nil), in...)
 	for _, g := range groups {
 		last := -1
@@ -127,7 +136,7 @@ func closure(in []bool, groups map[uint64][]int) []bool {
 	return out
 }
 
-func admissible(in []bool, groups map[uint64][]int) bool {
+func admissible(in []bool, groups [][]int) bool {
 	for _, g := range groups {
 		seen := true
 		for _, idx := range g {
@@ -252,7 +261,7 @@ func SampleOrdering(writes []Write, seed uint64) Ordering {
 	return sampleOne(writes, addrGroups(writes), &rng{state: seed})
 }
 
-func sampleOne(writes []Write, groups map[uint64][]int, r *rng) Ordering {
+func sampleOne(writes []Write, groups [][]int, r *rng) Ordering {
 	n := len(writes)
 	perm := make([]int, n)
 	for i := range perm {
@@ -297,7 +306,6 @@ func sampleOne(writes []Write, groups map[uint64][]int, r *rng) Ordering {
 // whether the failure persists; calls are capped so minimisation of an
 // expensive predicate stays bounded.
 func Minimize(writes []Write, applied []int, still func([]int) bool) []int {
-	groups := addrGroups(writes)
 	cur := append([]int(nil), applied...)
 	sort.Ints(cur)
 	budget := 256
@@ -306,15 +314,10 @@ func Minimize(writes []Write, applied []int, still func([]int) bool) []int {
 			continue
 		}
 		// Removing cur[i] forces removing every later same-address write.
-		drop := map[int]bool{cur[i]: true}
-		for _, g := range groups[writes[cur[i]].Addr] {
-			if g > cur[i] {
-				drop[g] = true
-			}
-		}
+		addr := writes[cur[i]].Addr
 		var cand []int
 		for _, v := range cur {
-			if !drop[v] {
+			if v < cur[i] || writes[v].Addr != addr {
 				cand = append(cand, v)
 			}
 		}

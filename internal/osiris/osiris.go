@@ -113,16 +113,13 @@ func RecoverLabeled(sys *core.System, stopLoss int, scheme string) (Result, erro
 
 	// Pass 1: recover counters, grouped by counter block.
 	dataAddrs := nvm.Store().AddressesInRange(0, lay.DataSize)
-	updatedCounters := make(map[uint64]mem.Block) // counter addr -> content
 	var curCtrAddr uint64
 	var curCtr cme.CounterBlock
 	var curDirty bool
 	var haveCur bool
 	flush := func() {
 		if haveCur && curDirty {
-			enc := curCtr.Encode()
-			updatedCounters[curCtrAddr] = enc
-			now = nvm.Write(now, curCtrAddr, enc, mem.CatCounter)
+			now = nvm.Write(now, curCtrAddr, curCtr.Encode(), mem.CatCounter)
 		}
 		haveCur = false
 		curDirty = false

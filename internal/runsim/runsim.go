@@ -18,7 +18,9 @@ package runsim
 
 import (
 	"fmt"
+	"sort"
 
+	"repro/internal/addrmap"
 	"repro/internal/cache"
 	"repro/internal/hierarchy"
 	"repro/internal/mem"
@@ -106,7 +108,7 @@ type Machine struct {
 	// in the hierarchy, dirty or clean. Clean lines cannot be re-read from
 	// raw NVM on a hit: under a secure memory path the NVM holds
 	// ciphertext, and the plaintext view lives in the (trusted) hierarchy.
-	contents map[uint64]mem.Block
+	contents addrmap.Map[mem.Block]
 
 	sec *secmem.Controller // nil for a non-secure machine
 	nvm *mem.Controller
@@ -192,10 +194,9 @@ func New(cfg Config, sec *secmem.Controller, nvm *mem.Controller) *Machine {
 	}
 	clk := sim.NewClock(cfg.ClockHz)
 	m := &Machine{
-		cfg:      cfg,
-		contents: make(map[uint64]mem.Block),
-		sec:      sec,
-		nvm:      nvm,
+		cfg: cfg,
+		sec: sec,
+		nvm: nvm,
 	}
 	for _, lc := range cfg.Hierarchy.Levels {
 		m.levels = append(m.levels, cache.New(lc.Name, lc.SizeBytes, lc.Ways, mem.BlockSize))
@@ -300,7 +301,7 @@ func (m *Machine) access(addr uint64) (mem.Block, error) {
 
 // valueOf returns the plaintext of a line cached in the hierarchy.
 func (m *Machine) valueOf(addr uint64) mem.Block {
-	b, ok := m.contents[addr]
+	b, ok := m.contents.Get(addr)
 	if !ok {
 		panic("runsim: cached line without tracked plaintext")
 	}
@@ -309,14 +310,14 @@ func (m *Machine) valueOf(addr uint64) mem.Block {
 
 // fillL1 inserts addr into L1 and spills victims down the hierarchy.
 func (m *Machine) fillL1(addr uint64, dirty bool, val mem.Block) error {
-	m.contents[addr] = val
+	*m.contents.Ref(addr) = val
 	ev, evicted := m.levels[0].Insert(addr, dirty)
 	level := 1
 	for evicted {
 		if level >= len(m.levels) {
 			// Victim leaves the hierarchy.
-			val := m.contents[ev.Addr]
-			delete(m.contents, ev.Addr)
+			val := m.valueOf(ev.Addr)
+			m.contents.Delete(ev.Addr)
 			if ev.Dirty {
 				m.stats.Writebacks++
 				if err := m.memWrite(ev.Addr, val); err != nil {
@@ -350,7 +351,7 @@ func (m *Machine) Write(addr uint64, val mem.Block) error {
 	if _, err := m.access(addr); err != nil {
 		return err
 	}
-	m.contents[addr] = val
+	*m.contents.Ref(addr) = val
 	m.levels[0].Touch(addr, true)
 	return nil
 }
@@ -374,7 +375,7 @@ func (m *Machine) Persist(addr uint64) error {
 	}
 	// The line stays cached (clean) with its plaintext; only the NVM copy
 	// is refreshed.
-	val := m.contents[addr]
+	val := m.valueOf(addr)
 	m.levels[lvl].Clean(addr)
 	m.stats.PersistFlush++
 	if m.cfg.Domain != DomainADRWPQ && m.cfg.Domain != DomainBBB {
@@ -470,19 +471,19 @@ func (m *Machine) DirtyBlocks() []hierarchy.DirtyBlock {
 	var out []hierarchy.DirtyBlock
 	for _, c := range m.levels {
 		for _, addr := range c.DirtyLines() {
-			out = append(out, hierarchy.DirtyBlock{Addr: addr, Data: m.contents[addr]})
+			out = append(out, hierarchy.DirtyBlock{Addr: addr, Data: m.valueOf(addr)})
 		}
 	}
 	return out
 }
 
-// Golden returns the current plaintext of every line cached in the
-// hierarchy (dirty or clean), for end-to-end verification.
-func (m *Machine) Golden() map[uint64]mem.Block {
-	out := make(map[uint64]mem.Block, len(m.contents))
-	for a, b := range m.contents {
-		out[a] = b
-	}
+// Image returns a copy of the current plaintext of every line cached in the
+// hierarchy (dirty or clean), sorted by ascending address, for end-to-end
+// verification.
+func (m *Machine) Image() []hierarchy.DirtyBlock {
+	out := make([]hierarchy.DirtyBlock, 0, m.contents.Len())
+	m.contents.Each(func(a uint64, b mem.Block) { out = append(out, hierarchy.DirtyBlock{Addr: a, Data: b}) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
@@ -493,6 +494,6 @@ func (m *Machine) Crash() {
 	for _, c := range m.levels {
 		c.InvalidateAll()
 	}
-	m.contents = make(map[uint64]mem.Block)
+	m.contents.Reset()
 	m.wpq = nil
 }

@@ -1,6 +1,8 @@
 package runsim
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/bmt"
@@ -329,20 +331,20 @@ func TestDirtyBlocksMatchContents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	golden := m.Golden()
+	img := m.Image()
 	blocks := m.DirtyBlocks()
 	if len(blocks) == 0 {
 		t.Fatal("no dirty blocks")
 	}
 	for _, b := range blocks {
-		want, ok := golden[b.Addr]
-		if !ok || b.Data != want {
-			t.Fatalf("dirty block %#x inconsistent with golden state", b.Addr)
+		i, ok := slices.BinarySearchFunc(img, b.Addr, func(x hierarchy.DirtyBlock, a uint64) int { return cmp.Compare(x.Addr, a) })
+		if !ok || b.Data != img[i].Data {
+			t.Fatalf("dirty block %#x inconsistent with the image", b.Addr)
 		}
 	}
 	m.Crash()
-	if len(m.DirtyBlocks()) != 0 {
-		t.Error("crash left dirty blocks")
+	if len(m.DirtyBlocks()) != 0 || len(m.Image()) != 0 {
+		t.Error("crash left cached lines")
 	}
 }
 

@@ -23,7 +23,7 @@ func TestFullLifecycleWorkloadCrashRecover(t *testing.T) {
 				t.Fatal("workload did not execute")
 			}
 
-			res, golden, err := ws.CrashAndDrain()
+			res, image, err := ws.CrashAndDrain()
 			if err != nil {
 				t.Fatalf("drain: %v", err)
 			}
@@ -37,13 +37,13 @@ func TestFullLifecycleWorkloadCrashRecover(t *testing.T) {
 
 			// Every dirty-at-crash value must read back correctly through
 			// the machine (hierarchy for Horus, memory for baselines).
-			for addr, want := range golden {
-				got, err := ws.Machine.Read(addr)
+			for _, b := range image {
+				got, err := ws.Machine.Read(b.Addr)
 				if err != nil {
-					t.Fatalf("post-recovery read %#x: %v", addr, err)
+					t.Fatalf("post-recovery read %#x: %v", b.Addr, err)
 				}
-				if got != want {
-					t.Fatalf("post-recovery mismatch at %#x", addr)
+				if got != b.Data {
+					t.Fatalf("post-recovery mismatch at %#x", b.Addr)
 				}
 			}
 		})
@@ -71,7 +71,7 @@ func TestLifecycleTwoEpisodes(t *testing.T) {
 	if err := ws.Run(wl2); err != nil {
 		t.Fatalf("run after recovery: %v", err)
 	}
-	res2, golden, err := ws.CrashAndDrain()
+	res2, image, err := ws.CrashAndDrain()
 	if err != nil {
 		t.Fatalf("second drain: %v", err)
 	}
@@ -81,13 +81,13 @@ func TestLifecycleTwoEpisodes(t *testing.T) {
 	if _, err := ws.Recover(res2.Persist); err != nil {
 		t.Fatalf("second recovery: %v", err)
 	}
-	for addr, want := range golden {
-		got, err := ws.Machine.Read(addr)
+	for _, b := range image {
+		got, err := ws.Machine.Read(b.Addr)
 		if err != nil {
-			t.Fatalf("read %#x: %v", addr, err)
+			t.Fatalf("read %#x: %v", b.Addr, err)
 		}
-		if got != want {
-			t.Fatalf("mismatch at %#x after second episode", addr)
+		if got != b.Data {
+			t.Fatalf("mismatch at %#x after second episode", b.Addr)
 		}
 	}
 }
@@ -123,17 +123,17 @@ func TestLifecycleBufferedDomains(t *testing.T) {
 			if ws.Stats().PersistFlush == 0 {
 				t.Fatal("no buffered persists exercised")
 			}
-			res, golden, err := ws.CrashAndDrain()
+			res, image, err := ws.CrashAndDrain()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := ws.Recover(res.Persist); err != nil {
 				t.Fatal(err)
 			}
-			for addr, want := range golden {
-				got, err := ws.Machine.Read(addr)
-				if err != nil || got != want {
-					t.Fatalf("%v: post-recovery mismatch at %#x: %v", domain, addr, err)
+			for _, b := range image {
+				got, err := ws.Machine.Read(b.Addr)
+				if err != nil || got != b.Data {
+					t.Fatalf("%v: post-recovery mismatch at %#x: %v", domain, b.Addr, err)
 				}
 			}
 		})

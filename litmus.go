@@ -2,10 +2,12 @@ package horus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
+	"repro/internal/addrmap"
 	"repro/internal/bmt"
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -309,9 +311,9 @@ func defaultLitmusWorkload(seed int64) *Workload {
 type litmusEpisode struct {
 	scheme Scheme
 	lay    *bmt.Layout
-	golden map[uint64]mem.Block
 	blocks []DirtyBlock
-	pre    *mem.Store // NVM image at the crash instant, before the drain
+	index  addrmap.Map[int32] // drained address -> position in blocks
+	pre    *mem.Store         // NVM image at the crash instant, before the drain
 	writes []litmus.Write
 	epochs []litmus.Epoch
 	// snaps[i] is the persistent register file at epoch i's closing
@@ -341,10 +343,10 @@ func recordLitmusEpisode(cfg Config, scheme Scheme, w *Workload) (*litmusEpisode
 	ep := &litmusEpisode{
 		scheme: scheme,
 		lay:    ws.Core.Layout,
-		golden: ws.Machine.Golden(),
 		blocks: ws.Machine.DirtyBlocks(),
 		pre:    ws.Core.NVM.Store().Snapshot(),
 	}
+	ep.index = drainIndex(ep.blocks)
 	rec := litmus.NewRecorder()
 	rec.OnEpochClose = func(litmus.Epoch) {
 		ep.snaps = append(ep.snaps, ws.drainer.PersistSnapshot())
@@ -440,7 +442,7 @@ func (ep *litmusEpisode) classifyOrdering(cfg Config, ei int, o litmus.Ordering)
 	ps := ep.snaps[ei]
 	complete := o.Complete(ep.epochs[ei].Size())
 	interrupted := !(ei == len(ep.epochs)-1 && complete)
-	out, detail, forensic, _ := classifyOutcome(sys, ps, ep.golden, ep.blocks, interrupted)
+	out, detail, forensic, _ := classifyOutcome(sys, ps, ep.blocks, interrupted)
 	return out, detail, forensic
 }
 
@@ -484,9 +486,9 @@ var coverageRegions = []bmt.Region{
 }
 
 // referenceProbe recovers the uncorrupted complete image on a fresh system
-// and records each probe address's plaintext — the baseline a corrupted
-// trial's reads are compared against.
-func (ep *litmusEpisode) referenceProbe(cfg Config, addrs []uint64) (map[uint64]mem.Block, error) {
+// and records each probe address's plaintext, parallel to addrs — the
+// baseline a corrupted trial's reads are compared against.
+func (ep *litmusEpisode) referenceProbe(cfg Config, addrs []uint64) ([]mem.Block, error) {
 	ei := len(ep.epochs) - 1
 	sys := ep.crashed(cfg, ep.complete, ei)
 	defer ep.release(sys)
@@ -494,13 +496,13 @@ func (ep *litmusEpisode) referenceProbe(cfg Config, addrs []uint64) (map[uint64]
 	if err := ep.recoverFor(sys, ps); err != nil {
 		return nil, fmt.Errorf("horus: reference recovery on %v: %w", ep.scheme, err)
 	}
-	ref := make(map[uint64]mem.Block, len(addrs))
-	for _, a := range addrs {
+	ref := make([]mem.Block, len(addrs))
+	for i, a := range addrs {
 		b, err := sys.Sec.ProbeBlock(a)
 		if err != nil {
 			return nil, fmt.Errorf("horus: reference probe of %#x on %v: %w", a, ep.scheme, err)
 		}
-		ref[a] = b
+		ref[i] = b
 	}
 	return ref, nil
 }
@@ -519,10 +521,8 @@ func (ep *litmusEpisode) recoverFor(sys *core.System, ps PersistentState) error 
 		if err != nil {
 			return err
 		}
-		for _, b := range res.Blocks {
-			if want, ok := ep.golden[b.Addr]; !ok || b.Data != want {
-				return fmt.Errorf("recovered wrong bytes at %#x with verified MACs", b.Addr)
-			}
+		if detail, _ := checkRecovered(res.Blocks, ep.blocks, &ep.index); detail != "" {
+			return errors.New(detail)
 		}
 		return nil
 	}
@@ -533,7 +533,7 @@ func (ep *litmusEpisode) recoverFor(sys *core.System, ps PersistentState) error 
 // coverageTrial corrupts one victim of the complete image and reports the
 // verdict ("detected", "silent", "masked" or "internal") plus, for a
 // detection, its forensic provenance.
-func (ep *litmusEpisode) coverageTrial(cfg Config, model CorruptionModel, victim uint64, seed uint64, ref map[uint64]mem.Block, addrs []uint64) (string, string, *Forensic) {
+func (ep *litmusEpisode) coverageTrial(cfg Config, model CorruptionModel, victim uint64, seed uint64, ref []mem.Block, addrs []uint64) (string, string, *Forensic) {
 	ei := len(ep.epochs) - 1
 	sys := ep.crashed(cfg, ep.complete, ei)
 	defer ep.release(sys)
@@ -560,7 +560,7 @@ func (ep *litmusEpisode) coverageTrial(cfg Config, model CorruptionModel, victim
 			return "detected", fmt.Sprintf("recovery: %v", err), ForensicFromError(err, "recovery")
 		}
 		if ps.Scheme.UsesCHV() {
-			// recoverFor folds wrong-recovered-bytes into an untyped error.
+			// recoverFor folds an undrained recovered block into an untyped error.
 			return "silent", err.Error(), nil
 		}
 		return "internal", err.Error(), nil
@@ -581,7 +581,7 @@ func (ep *litmusEpisode) coverageTrial(cfg Config, model CorruptionModel, victim
 			}
 			continue
 		}
-		if b != ref[a] {
+		if b != ref[i] {
 			return "silent", fmt.Sprintf("probe of %#x verified with wrong plaintext", a), nil
 		}
 	}
@@ -686,7 +686,7 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 		model  CorruptionModel
 		region bmt.Region
 		pool   []uint64
-		ref    map[uint64]mem.Block
+		ref    []mem.Block
 		addrs  []uint64
 	}
 	var covSpecs []covSpec

@@ -72,7 +72,7 @@ func TestSchemeRegistryRoundTripParity(t *testing.T) {
 			if len(drained) == 0 {
 				t.Fatal("workload left nothing dirty")
 			}
-			res, golden, err := ws.CrashAndDrain()
+			res, image, err := ws.CrashAndDrain()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,15 +85,15 @@ func TestSchemeRegistryRoundTripParity(t *testing.T) {
 
 			switch {
 			case scheme.UsesCHV():
-				// Recovery refilled the hierarchy; the machine's view must
-				// equal the pre-crash golden image for every drained block.
-				got := ws.Machine.Golden()
+				// Recovery refilled the hierarchy; the machine's image must
+				// hold every drained block with its pre-crash bytes.
+				got := ws.Machine.Image()
 				for _, b := range drained {
-					g, ok := golden[b.Addr]
+					g, ok := imageAt(image, b.Addr)
 					if !ok {
-						t.Fatalf("drained %#x missing from golden image", b.Addr)
+						t.Fatalf("drained %#x missing from the pre-crash image", b.Addr)
 					}
-					if v := got[b.Addr]; v != g {
+					if v, _ := imageAt(got, b.Addr); v != g {
 						t.Errorf("block %#x not restored: got %x want %x", b.Addr, v[:8], g[:8])
 					}
 				}
@@ -105,7 +105,7 @@ func TestSchemeRegistryRoundTripParity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("verified read of %#x: %v", b.Addr, err)
 					}
-					if g := golden[b.Addr]; v != g {
+					if g, _ := imageAt(image, b.Addr); v != g {
 						t.Errorf("block %#x not restored: got %x want %x", b.Addr, v[:8], g[:8])
 					}
 				}
@@ -113,7 +113,7 @@ func TestSchemeRegistryRoundTripParity(t *testing.T) {
 				// NonSecure drained plaintext in place.
 				for _, b := range drained {
 					v := ws.Core.NVM.PeekRead(b.Addr)
-					if g := golden[b.Addr]; v != g {
+					if g, _ := imageAt(image, b.Addr); v != g {
 						t.Errorf("block %#x not restored: got %x want %x", b.Addr, v[:8], g[:8])
 					}
 				}

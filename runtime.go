@@ -97,9 +97,9 @@ func (ws *WorkloadSystem) Stats() RunStats { return ws.Machine.Stats() }
 // CrashAndDrain simulates an outage at the current instant: the dirty
 // hierarchy state is drained under the configured scheme, then the
 // volatile state is lost. It returns the drain result and the pre-crash
-// golden contents (for post-recovery verification).
-func (ws *WorkloadSystem) CrashAndDrain() (Result, map[uint64]mem.Block, error) {
-	golden := ws.Machine.Golden()
+// image for verifying recovery: every cached line, by ascending address.
+func (ws *WorkloadSystem) CrashAndDrain() (Result, []DirtyBlock, error) {
+	image := ws.Machine.Image()
 	blocks := ws.Machine.DirtyBlocks()
 	res, err := ws.drainer.Drain(blocks)
 	if err != nil {
@@ -110,7 +110,7 @@ func (ws *WorkloadSystem) CrashAndDrain() (Result, map[uint64]mem.Block, error) 
 	if ws.Core.Sec != nil {
 		ws.Core.Sec.Crash()
 	}
-	return res, golden, nil
+	return res, image, nil
 }
 
 // Recover restores the machine after a crash: for Horus schemes the

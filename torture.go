@@ -206,7 +206,7 @@ func defaultTortureWorkload(seed int64) *Workload {
 // RunTortureMatrix executes the crash matrix: for every selected scheme it
 // counts the drain's write steps, then replays the episode once per sampled
 // crash point per flavor, recovering each time and classifying the result
-// against the pre-crash golden image. Cells run on the sweep engine's
+// against the blocks the drain wrote. Cells run on the sweep engine's
 // worker pool (opts.Parallel) with per-cell derived seeds, so results are
 // deterministic for any worker count. The returned error covers harness
 // failures only; contract violations are reported via TortureReport.Failures.
@@ -332,7 +332,7 @@ func countDrainSteps(cfg Config, scheme Scheme, w *Workload) (int, error) {
 }
 
 // runTortureCell replays one episode, faults it per the plan, crashes,
-// recovers, and classifies the result against the golden image. Harness
+// recovers, and classifies the result against the drained blocks. Harness
 // misbehaviour (panics, untyped errors) is folded into the cell as
 // OutcomeInternalError rather than aborting the matrix.
 func runTortureCell(cfg Config, scheme Scheme, w *Workload, plan faultinject.CrashPlan) (cell TortureCell) {
@@ -350,7 +350,6 @@ func runTortureCell(cfg Config, scheme Scheme, w *Workload, plan faultinject.Cra
 		cell.Detail = fmt.Sprintf("workload: %v", err)
 		return cell
 	}
-	golden := ws.Machine.Golden()
 	blocks := ws.Machine.DirtyBlocks()
 
 	inj := faultinject.NewInjector(plan)
@@ -400,6 +399,6 @@ func runTortureCell(cfg Config, scheme Scheme, w *Workload, plan faultinject.Cra
 		}
 	}
 
-	cell.Outcome, cell.Detail, cell.Forensic, cell.RecoverTime = classifyOutcome(ws.Core, ps, golden, blocks, atCut != nil)
+	cell.Outcome, cell.Detail, cell.Forensic, cell.RecoverTime = classifyOutcome(ws.Core, ps, blocks, atCut != nil)
 	return cell
 }
