@@ -317,8 +317,7 @@ func BenchmarkAblationRecoveryMechanisms(b *testing.B) {
 			if err := ws.Run(wl); err != nil {
 				b.Fatal(err)
 			}
-			ws.Machine.Crash()
-			ws.Core.Sec.Crash()
+			ws.Crash()
 			res, err := ws.RecoverWithOsiris()
 			if err != nil {
 				b.Fatal(err)

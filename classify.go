@@ -11,9 +11,10 @@ import (
 )
 
 // classifyOutcome is the shared recovery oracle behind the torture matrix
-// and the litmus reordering checker: given a crashed system (volatile state
-// already discarded, root register restored from ps), it runs the scheme's
-// recovery path and classifies the result against the drained blocks.
+// and the litmus reordering checker: given a crashed system of a secure
+// scheme (volatile state already discarded, root register restored from ps),
+// it runs the scheme's recovery sequence (recoverCore) and classifies the
+// result against the drained blocks.
 // interrupted states whether the crash state legitimately misses drain
 // writes (a cut mid-drain, or a reordered epoch prefix); only then is
 // authentic-but-stale or missing data an acceptable OutcomePartial.
@@ -70,32 +71,26 @@ func checkRecovered(recovered, blocks []DirtyBlock, index *addrmap.Map[int32]) (
 	return "", missing
 }
 
-// classifyHorusOutcome recovers the CHV directly (RestoreMetadataVault +
-// RecoverHorus, without refilling a machine) and compares the recovered
-// blocks against blocks. Direct comparison keeps the verdict about the CHV:
-// refilling a machine would route reads through the secure controller and
-// conflate CHV verification with metadata-residue verification.
+// classifyHorusOutcome recovers the CHV directly (recoverCore, without
+// refilling a machine) and compares the recovered blocks against blocks.
+// Direct comparison keeps the verdict about the CHV: refilling a machine
+// would route reads through the secure controller and conflate CHV
+// verification with metadata-residue verification.
 func classifyHorusOutcome(cs *core.System, ps PersistentState,
 	blocks []DirtyBlock, interrupted bool) (CrashOutcome, string, *Forensic, sim.Time) {
-	cs.NVM.ResetStats()
-	cs.Sec.ResetStats()
-	var elapsed sim.Time
-	if ps.Vault.Count > 0 {
-		vr, err := recovery.RestoreMetadataVaultFor(cs, ps.Vault, ps.Scheme.String())
-		elapsed += vr.RecoveryTime
-		if err != nil {
-			o, d, f := classifyRecoveryError(err, "metadata vault")
-			return o, d, f, elapsed
-		}
-	}
-	res, err := recovery.RecoverHorus(cs, ps)
-	elapsed += res.RecoveryTime
+	rep, err := recoverCore(cs, ps)
+	elapsed := rep.Time()
 	if err != nil {
-		o, d, f := classifyRecoveryError(err, "CHV recovery")
+		// A due vault that left no result is the path that failed.
+		phase := "CHV recovery"
+		if ps.Vault.Count > 0 && rep.Baseline == nil {
+			phase = "metadata vault"
+		}
+		o, d, f := classifyRecoveryError(err, phase)
 		return o, d, f, elapsed
 	}
 	index := drainIndex(blocks)
-	detail, missing := checkRecovered(res.Blocks, blocks, &index)
+	detail, missing := checkRecovered(rep.Horus.Blocks, blocks, &index)
 	switch {
 	case detail != "":
 		return OutcomeSilentCorruption, detail, nil, elapsed
@@ -120,10 +115,8 @@ func classifyHorusOutcome(cs *core.System, ps PersistentState,
 // not forged bytes).
 func classifyBaselineOutcome(cs *core.System, ps PersistentState,
 	blocks []DirtyBlock, interrupted bool) (CrashOutcome, string, *Forensic, sim.Time) {
-	cs.NVM.ResetStats()
-	cs.Sec.ResetStats()
-	br, err := recovery.RecoverBaseline(cs, ps)
-	elapsed := br.RecoveryTime
+	rep, err := recoverCore(cs, ps)
+	elapsed := rep.Time()
 	if err != nil {
 		o, d, f := classifyRecoveryError(err, "baseline recovery")
 		return o, d, f, elapsed

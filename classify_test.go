@@ -37,8 +37,7 @@ func TestClassifyCHVSilentCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws.Machine.Crash()
-			ws.Core.Sec.Crash()
+			ws.Crash()
 			got, detail, _, _ := classifyOutcome(ws.Core, res.Persist, tc.held(blocks), false)
 			if got != tc.want || !strings.Contains(detail, tc.detail) {
 				t.Fatalf("classifyOutcome = %v %q, want %v containing %q", got, detail, tc.want, tc.detail)

@@ -216,10 +216,7 @@ func measureMachine(fc FleetConfig, spec cluster.MachineSpec, sessions int) (m F
 	// Power loss: volatile state gone, then the recovery oracle replays
 	// the scheme's recovery path against the drained blocks and attributes
 	// its simulated duration.
-	ws.Machine.Crash()
-	if ws.Core.Sec != nil {
-		ws.Core.Sec.Crash()
-	}
+	ws.Crash()
 	var recoverTime sim.Time
 	m.Outcome, m.Detail, _, recoverTime = classifyOutcome(ws.Core, res.Persist, blocks, false)
 	m.Run.RecoverPs = int64(recoverTime)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/obs/evlog"
 	"repro/internal/osiris"
 	"repro/internal/recovery"
@@ -75,6 +76,21 @@ func ForensicFromError(err error, phase string) *Forensic {
 			Detail: fmt.Sprintf("level %d index %d: %s", ie.Level, ie.Index, ie.Detail)}
 	}
 	return &Forensic{Phase: phase, Detail: err.Error()}
+}
+
+// publishDetectLatency records one detection's latency under its scheme and
+// corruption model: the blocks recovery had verified, and the phase-local
+// simulated time, when the failing check fired. The torture matrix and the
+// litmus checker both publish through it, so they share one help text.
+func publishDetectLatency(reg *obs.Registry, scheme Scheme, model string, f *Forensic) {
+	reg.SetHelp("horus_recovery_detect_latency_blocks",
+		"Blocks recovery had verified before a corruption check fired, by scheme and corruption model.")
+	reg.SetHelp("horus_recovery_detect_latency_ps",
+		"Phase-local simulated time at which a corruption check fired, picoseconds, by scheme and corruption model.")
+	reg.Histogram("horus_recovery_detect_latency_blocks", obs.CountBuckets,
+		"scheme", scheme.String(), "model", model).Observe(float64(f.BlocksScanned))
+	reg.Histogram("horus_recovery_detect_latency_ps", obs.LatencyBuckets,
+		"scheme", scheme.String(), "model", model).Observe(float64(f.DetectLatencyPs))
 }
 
 // Timelines returns the captured recovery-path recordings in execution

@@ -195,8 +195,7 @@ func TestMetricsHelpLint(t *testing.T) {
 	if err := ows.Run(UniformWorkload(WorkloadConfig{Ops: 100, WorkingSet: 4 << 10, Seed: 5, PersistPercent: 20})); err != nil {
 		t.Fatal(err)
 	}
-	ows.Machine.Crash()
-	ows.Core.Sec.Crash()
+	ows.Crash()
 	if _, err := ows.RecoverWithOsiris(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +227,39 @@ func TestMetricsHelpLint(t *testing.T) {
 		}
 		if cfg.Metrics.Help(name) == "" {
 			t.Errorf("metric %q has no help string", name)
+		}
+	}
+}
+
+// The torture matrix and the litmus checker publish detection latency
+// through one helper, so both registries carry one help text per histogram.
+func TestDetectLatencyHelpShared(t *testing.T) {
+	tcfg := TestConfig()
+	tcfg.Metrics = NewMetricsRegistry()
+	if _, err := RunTortureMatrix(context.Background(), TortureConfig{
+		Config: tcfg, Schemes: []Scheme{HorusSLM}, Flavors: []CrashFlavor{CrashBitFlip},
+		Stride: 5, MaxPoints: 4,
+	}, SweepOptions{Parallel: 1}); err != nil {
+		t.Fatal(err)
+	}
+	lcfg := TestConfig()
+	lcfg.Metrics = NewMetricsRegistry()
+	if _, err := RunLitmus(context.Background(), LitmusConfig{
+		Config: lcfg, Schemes: []Scheme{HorusSLM}, MaxEpochs: 2, MaxOrderings: 4,
+		NewWorkload: func(seed int64) *Workload {
+			return UniformWorkload(WorkloadConfig{Ops: 300, WorkingSet: 16 << 10, Seed: seed, PersistPercent: 10})
+		},
+		Corrupt: AllCorruptionModels(), CorruptTrials: 1,
+	}, SweepOptions{Parallel: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"horus_recovery_detect_latency_blocks", "horus_recovery_detect_latency_ps"} {
+		th, lh := tcfg.Metrics.Help(name), lcfg.Metrics.Help(name)
+		if th == "" || lh == "" {
+			t.Fatalf("%s: a harness recorded no detection (torture help %q, litmus help %q)", name, th, lh)
+		}
+		if th != lh {
+			t.Errorf("%s help differs:\n torture: %s\n litmus:  %s", name, th, lh)
 		}
 	}
 }

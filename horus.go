@@ -432,53 +432,24 @@ func (r RecoveryReport) Time() sim.Time {
 	return t
 }
 
-// Recover restores the system from the persistent state of the last drain:
-// for Horus, the CHV is read back, verified, decrypted and re-installed in
-// the hierarchy; for baselines, the metadata-cache vault is verified and
-// re-installed in the controller.
+// Recover restores the system from the persistent state of the last drain
+// (recoverCore): for Horus, the vault residue and the CHV are verified and
+// the recovered blocks are re-installed in the hierarchy as dirty lines; for
+// baselines, the metadata-cache vault is verified and re-installed in the
+// controller. On an error the report is zero.
 func (s *System) Recover(ps PersistentState) (RecoveryReport, error) {
 	span := s.Core.Metrics.StartSpan("recover", 0)
-	report, err := s.recoverFrom(ps)
+	rep, err := recoverCore(s.Core, ps)
+	if err != nil {
+		rep = RecoveryReport{}
+	} else if rep.Horus != nil {
+		recovery.RefillHierarchy(s.Hierarchy, rep.Horus.Blocks)
+		s.filled = true
+	}
 	// The vault restore and the CHV read-back run on separate phase-local
 	// clocks; the parent span spans their combined duration.
-	span.EndAt(int64(report.Time()))
-	return report, err
-}
-
-func (s *System) recoverFrom(ps PersistentState) (RecoveryReport, error) {
-	switch {
-	case ps.Scheme.UsesCHV():
-		report := RecoveryReport{}
-		// Power restore: timing starts on a fresh clock (the drain's bank
-		// reservations belong to the previous power session).
-		s.Core.NVM.ResetStats()
-		s.Core.Sec.ResetStats()
-		if ps.Vault.Count > 0 {
-			// Restore the run-time metadata residue first, so in-place
-			// data written before the crash verifies again.
-			vres, err := recovery.RestoreMetadataVaultFor(s.Core, ps.Vault, ps.Scheme.String())
-			if err != nil {
-				return RecoveryReport{}, err
-			}
-			report.Baseline = &vres
-		}
-		res, err := recovery.RecoverHorus(s.Core, ps)
-		if err != nil {
-			return RecoveryReport{}, err
-		}
-		recovery.RefillHierarchy(s.Hierarchy, res.Blocks)
-		s.filled = true
-		report.Horus = &res
-		return report, nil
-	case ps.Scheme.Secure():
-		res, err := recovery.RecoverBaseline(s.Core, ps)
-		if err != nil {
-			return RecoveryReport{}, err
-		}
-		return RecoveryReport{Baseline: &res}, nil
-	default:
-		return RecoveryReport{}, nil // non-secure: nothing to verify
-	}
+	span.EndAt(int64(rep.Time()))
+	return rep, err
 }
 
 // RunDrain is the one-shot convenience: build, warm up, fill, drain.

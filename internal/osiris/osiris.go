@@ -84,21 +84,13 @@ func (e *Error) Error() string {
 
 // Recover reconstructs the counters and integrity tree of the system's
 // data region after a crash, assuming the run-time controller was
-// configured with the given stop-loss. It must be called on a crashed
-// controller (empty metadata caches); on success, in-place data verifies
-// through the normal secure read path again.
-func Recover(sys *core.System, stopLoss int) (Result, error) {
-	return RecoverLabeled(sys, stopLoss, "")
-}
-
-// RecoverLabeled is Recover with the scheme label stamped on the path's
-// metrics, timeline episode and forensic records.
-func RecoverLabeled(sys *core.System, stopLoss int, scheme string) (Result, error) {
+// configured with the given stop-loss, and stamps the scheme label on the
+// path's metrics, timeline episode and forensic records. It must be called
+// on a crashed controller (empty metadata caches); on success, in-place
+// data verifies through the normal secure read path again.
+func Recover(sys *core.System, stopLoss int, scheme string) (Result, error) {
 	if stopLoss <= 0 {
 		return Result{}, fmt.Errorf("osiris: stop-loss must be positive")
-	}
-	if scheme == "" {
-		scheme = "unknown"
 	}
 	lay := sys.Layout
 	nvm := sys.NVM
@@ -144,17 +136,21 @@ func RecoverLabeled(sys *core.System, stopLoss int, scheme string) (Result, erro
 
 		slot := cme.CounterIndex(addr)
 		base := curCtr.Counter(slot)
+		// A minor overflow persists its counter block (write-through), so
+		// the true counter shares the persisted major: the candidates stop
+		// at the major boundary, and a corrupted block that would need one
+		// past it fails verification like any other.
+		window := min(uint64(stopLoss), cme.MinorLimit-1-uint64(curCtr.Minors[slot]))
 		found := false
-		for d := uint64(0); d <= uint64(stopLoss); d++ {
-			cand := base + d
+		for d := uint64(0); d <= window; d++ {
 			res.CandidateTrials++
 			macs++
 			now = sys.Sec.IssueMAC(now, "osiris-trial")
 			p.MACOp(now)
-			if sys.Enc.DataMAC(addr, cand, ct) == stored {
+			if sys.Enc.DataMAC(addr, base+d, ct) == stored {
 				if d > 0 {
 					res.CountersAdvanced++
-					setCounter(&curCtr, slot, cand)
+					curCtr.Minors[slot] += byte(d)
 					curDirty = true
 				}
 				found = true
@@ -196,20 +192,6 @@ func RecoverLabeled(sys *core.System, stopLoss int, scheme string) (Result, erro
 	sys.NVM.PublishMetrics("recover-osiris", now)
 	sys.Sec.PublishMetrics("recover-osiris", now)
 	return res, nil
-}
-
-// setCounter writes an absolute counter value into a slot (major is shared;
-// recovery only ever advances minors within the current major, since
-// overflows persist the block).
-func setCounter(cb *cme.CounterBlock, slot int, value uint64) {
-	major := value / cme.MinorLimit
-	minor := value % cme.MinorLimit
-	if major != cb.Major {
-		// A recovered counter crossing a major boundary means the overflow
-		// persist was lost — impossible under the write-through rule.
-		panic("osiris: recovered counter crosses a major-counter boundary")
-	}
-	cb.Minors[slot] = byte(minor)
 }
 
 // RebuildTree recomputes every populated integrity-tree path bottom-up and

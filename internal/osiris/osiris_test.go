@@ -71,7 +71,7 @@ func TestRecoverAfterCrash(t *testing.T) {
 	}
 	sys.Sec.Crash() // no vault flush: Osiris does not need one
 
-	res, err := Recover(sys, stopLoss)
+	res, err := Recover(sys, stopLoss, "base-lu")
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestRecoverDetectsTamperedData(t *testing.T) {
 	_ = now
 	sys.Sec.Crash()
 	sys.NVM.Store().CorruptByte(addr, 0, 0x01)
-	_, err := Recover(sys, stopLoss)
+	_, err := Recover(sys, stopLoss, "base-lu")
 	var oe *Error
 	if !errors.As(err, &oe) {
 		t.Fatalf("tampered data recovered: %v", err)
@@ -134,14 +134,14 @@ func TestRecoverDetectsCounterRolledPastStopLoss(t *testing.T) {
 	cb := cme.DecodeCounterBlock(sys.NVM.PeekRead(ctrAddr))
 	cb.Minors[cme.CounterIndex(addr)] = 0
 	sys.NVM.Store().WriteBlock(ctrAddr, cb.Encode())
-	if _, err := Recover(sys, stopLoss); err == nil {
+	if _, err := Recover(sys, stopLoss, "base-lu"); err == nil {
 		t.Fatal("rolled-back counter recovered")
 	}
 }
 
 func TestRecoverEmptyMemory(t *testing.T) {
 	sys := osirisSystem(t)
-	res, err := Recover(sys, stopLoss)
+	res, err := Recover(sys, stopLoss, "base-lu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRecoverEmptyMemory(t *testing.T) {
 
 func TestRecoverRejectsBadStopLoss(t *testing.T) {
 	sys := osirisSystem(t)
-	if _, err := Recover(sys, 0); err == nil {
+	if _, err := Recover(sys, 0, "base-lu"); err == nil {
 		t.Error("stop-loss 0 accepted")
 	}
 }
@@ -180,7 +180,7 @@ func TestRecoverySurvivesMinorOverflow(t *testing.T) {
 		now = write(t, sys, now, hot, mem.Block{0: byte(i)})
 	}
 	sys.Sec.Crash()
-	if _, err := Recover(sys, stopLoss); err != nil {
+	if _, err := Recover(sys, stopLoss, "base-lu"); err != nil {
 		t.Fatalf("recovery after overflow: %v", err)
 	}
 	got, _, err := sys.Sec.ReadBlock(now, neighbour)

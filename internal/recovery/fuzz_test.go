@@ -93,7 +93,7 @@ func FuzzRecoverHorus(f *testing.F) {
 		}
 		ps := fx.ps
 		ps.DC, ps.EDC, ps.CHVRegion = dc, edc, region
-		res, err := RecoverHorus(sys, ps)
+		res, err := RecoverHorus(sys, ps, Options{})
 		requireTyped(t, err)
 		if err == nil && uint64(len(res.Blocks)) != edc {
 			t.Fatalf("recovered %d blocks for EDC %d", len(res.Blocks), edc)
@@ -125,7 +125,7 @@ func FuzzRestoreMetadataVault(f *testing.F) {
 		vault.Count = int(count)
 		vault.Parity = parity
 		vault.Root[int(rootOff)%len(vault.Root)] ^= rootMask
-		res, err := RestoreMetadataVault(sys, vault)
+		res, err := RestoreMetadataVault(sys, vault, fx.scheme.String())
 		requireTyped(t, err)
 		if err == nil && vault.Count > 0 && res.LinesRestored != vault.Count {
 			t.Fatalf("restored %d lines for count %d", res.LinesRestored, vault.Count)

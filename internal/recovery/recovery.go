@@ -268,15 +268,10 @@ type Options struct {
 	BankParallel bool
 }
 
-// RecoverHorus reads the CHV back and returns the recovered blocks, using
-// the paper's conservative serial read-back model. ps must be the
-// persistent state captured by the drain.
-func RecoverHorus(sys *core.System, ps core.PersistentState) (HorusResult, error) {
-	return RecoverHorusOpts(sys, ps, Options{})
-}
-
-// RecoverHorusOpts is RecoverHorus with explicit options.
-func RecoverHorusOpts(sys *core.System, ps core.PersistentState, opt Options) (HorusResult, error) {
+// RecoverHorus reads the CHV back and returns the recovered blocks. ps must
+// be the persistent state captured by the drain; the zero Options select the
+// paper's conservative serial read-back model.
+func RecoverHorus(sys *core.System, ps core.PersistentState, opt Options) (HorusResult, error) {
 	p := BeginPath(sys, "chv", ps.Scheme.String())
 	if !ps.Scheme.UsesCHV() {
 		// The scheme register is persistent state like DC/EDC: a crash can
@@ -471,25 +466,15 @@ func RecoverBaseline(sys *core.System, ps core.PersistentState) (BaselineResult,
 	}
 	sys.NVM.ResetStats()
 	sys.Sec.ResetStats()
-	return RestoreMetadataVaultFor(sys, ps.Vault, ps.Scheme.String())
+	return RestoreMetadataVault(sys, ps.Vault, ps.Scheme.String())
 }
 
 // RestoreMetadataVault reads back, verifies and re-installs the
-// metadata-cache vault. Horus drains also leave a vault (the run-time
-// metadata residue flushed at the end of the drain), so Horus recovery
-// uses this too, before reading the CHV. The observability surfaces carry
-// an "unknown" scheme label; callers that know the drain's scheme should
-// prefer RestoreMetadataVaultFor.
-func RestoreMetadataVault(sys *core.System, vault secmem.VaultRecord) (BaselineResult, error) {
-	return RestoreMetadataVaultFor(sys, vault, "")
-}
-
-// RestoreMetadataVaultFor is RestoreMetadataVault with the scheme label
-// stamped on the path's metrics, timeline episode and forensic records.
-func RestoreMetadataVaultFor(sys *core.System, vault secmem.VaultRecord, scheme string) (BaselineResult, error) {
-	if scheme == "" {
-		scheme = "unknown"
-	}
+// metadata-cache vault, stamping the drain's scheme label on the path's
+// metrics, timeline episode and forensic records. Horus drains also leave a
+// vault (the run-time metadata residue flushed at the end of the drain), so
+// Horus recovery uses this too, before reading the CHV.
+func RestoreMetadataVault(sys *core.System, vault secmem.VaultRecord, scheme string) (BaselineResult, error) {
 	lay := sys.Layout
 	count := vault.Count
 	if count == 0 {

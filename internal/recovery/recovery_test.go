@@ -71,7 +71,7 @@ func TestHorusRecoveryRoundTrip(t *testing.T) {
 			sys, h := buildSystem(t, scheme)
 			golden, ps := drainAndCrash(t, sys, h, scheme, 10)
 
-			res, err := RecoverHorus(sys, ps)
+			res, err := RecoverHorus(sys, ps, Options{})
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -113,7 +113,7 @@ func TestHorusRecoveryRoundTrip(t *testing.T) {
 func TestHorusRecoveryReadCounts(t *testing.T) {
 	sys, h := buildSystem(t, core.HorusSLM)
 	_, ps := drainAndCrash(t, sys, h, core.HorusSLM, 11)
-	res, err := RecoverHorus(sys, ps)
+	res, err := RecoverHorus(sys, ps, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestHorusDLMRecoveryReadsFewerMACBlocks(t *testing.T) {
 	readsFor := func(scheme core.Scheme) int64 {
 		sys, h := buildSystem(t, scheme)
 		_, ps := drainAndCrash(t, sys, h, scheme, 12)
-		res, err := RecoverHorus(sys, ps)
+		res, err := RecoverHorus(sys, ps, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestRecoveryDetectsDataTamper(t *testing.T) {
 	sys, h := buildSystem(t, core.HorusSLM)
 	_, ps := drainAndCrash(t, sys, h, core.HorusSLM, 13)
 	sys.NVM.Store().CorruptByte(sys.Layout.CHVDataAddr(5), 10, 0x40)
-	_, err := RecoverHorus(sys, ps)
+	_, err := RecoverHorus(sys, ps, Options{})
 	var re *Error
 	if !errors.As(err, &re) {
 		t.Fatalf("tampered CHV data recovered: err=%v", err)
@@ -162,7 +162,7 @@ func TestRecoveryDetectsAddressTamper(t *testing.T) {
 	a, _ := sys.Layout.CHVAddrBlockAddr(0)
 	sys.NVM.Store().CorruptByte(a, 3, 0x01) // redirect block 0's address
 	var re *Error
-	if _, err := RecoverHorus(sys, ps); !errors.As(err, &re) {
+	if _, err := RecoverHorus(sys, ps, Options{}); !errors.As(err, &re) {
 		t.Fatalf("tampered CHV address recovered: err=%v", err)
 	}
 }
@@ -176,7 +176,7 @@ func TestRecoveryDetectsDomainBitAddressTamper(t *testing.T) {
 	_, ps := drainAndCrash(t, sys, h, core.HorusSLM, 14)
 	a, _ := sys.Layout.CHVAddrBlockAddr(0)
 	sys.NVM.Store().CorruptByte(a, 7, 0x80) // slot 0 is little-endian: byte 7 holds bit 63
-	_, err := RecoverHorus(sys, ps)
+	_, err := RecoverHorus(sys, ps, Options{})
 	var re *Error
 	if !errors.As(err, &re) {
 		t.Fatalf("domain-bit address tamper recovered: err=%v", err)
@@ -193,7 +193,7 @@ func TestRecoveryDetectsMACTamper(t *testing.T) {
 			_, ps := drainAndCrash(t, sys, h, scheme, 15)
 			sys.NVM.Store().CorruptByte(sys.Layout.CHVMACBase, 0, 0x02)
 			var re *Error
-			if _, err := RecoverHorus(sys, ps); !errors.As(err, &re) {
+			if _, err := RecoverHorus(sys, ps, Options{}); !errors.As(err, &re) {
 				t.Fatalf("tampered CHV MAC recovered: err=%v", err)
 			}
 		})
@@ -210,7 +210,7 @@ func TestRecoveryDetectsSplice(t *testing.T) {
 	sys.NVM.Store().WriteBlock(a0, b1)
 	sys.NVM.Store().WriteBlock(a1, b0)
 	var re *Error
-	if _, err := RecoverHorus(sys, ps); !errors.As(err, &re) {
+	if _, err := RecoverHorus(sys, ps, Options{}); !errors.As(err, &re) {
 		t.Fatalf("spliced CHV content recovered: err=%v", err)
 	}
 }
@@ -260,7 +260,7 @@ func TestRecoveryDetectsCrossEpisodeReplay(t *testing.T) {
 	}
 	sys.Sec.Crash()
 	var re *Error
-	if _, err := RecoverHorus(sys, res2.Persist); !errors.As(err, &re) {
+	if _, err := RecoverHorus(sys, res2.Persist, Options{}); !errors.As(err, &re) {
 		t.Fatalf("replayed previous episode's CHV recovered: err=%v", err)
 	}
 }
@@ -270,12 +270,12 @@ func TestParallelRecoveryFasterAndCorrect(t *testing.T) {
 		t.Run(scheme.String(), func(t *testing.T) {
 			sys, h := buildSystem(t, scheme)
 			golden, ps := drainAndCrash(t, sys, h, scheme, 40)
-			serial, err := RecoverHorus(sys, ps)
+			serial, err := RecoverHorus(sys, ps, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sys.Sec.Crash()
-			parallel, err := RecoverHorusOpts(sys, ps, Options{BankParallel: true})
+			parallel, err := RecoverHorus(sys, ps, Options{BankParallel: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,7 +364,7 @@ func TestBaselineRecoveryDetectsVaultTamper(t *testing.T) {
 func TestSchemeMismatchErrors(t *testing.T) {
 	sys, h := buildSystem(t, core.BaseLU)
 	_, ps := drainAndCrash(t, sys, h, core.BaseLU, 21)
-	if _, err := RecoverHorus(sys, ps); err == nil {
+	if _, err := RecoverHorus(sys, ps, Options{}); err == nil {
 		t.Error("RecoverHorus accepted baseline state")
 	}
 	sys2, h2 := buildSystem(t, core.HorusSLM)
@@ -381,7 +381,7 @@ func TestSchemeMismatchErrors(t *testing.T) {
 func TestSchemeMismatchIsTypedDetection(t *testing.T) {
 	sys, h := buildSystem(t, core.BaseLU)
 	_, ps := drainAndCrash(t, sys, h, core.BaseLU, 23)
-	_, err := RecoverHorus(sys, ps)
+	_, err := RecoverHorus(sys, ps, Options{})
 	var re *Error
 	if !errors.As(err, &re) {
 		t.Fatalf("RecoverHorus scheme mismatch not a *recovery.Error: %v", err)

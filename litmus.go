@@ -13,7 +13,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/litmus"
 	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/obs/evlog"
 	"repro/internal/probe"
 	"repro/internal/recovery"
@@ -507,27 +506,17 @@ func (ep *litmusEpisode) referenceProbe(cfg Config, addrs []uint64) ([]mem.Block
 	return ref, nil
 }
 
-// recoverFor runs the scheme's recovery path on a materialised system.
+// recoverFor runs the scheme's recovery sequence (recoverCore) on a
+// materialised system and holds CHV-recovered blocks to the drain.
 func (ep *litmusEpisode) recoverFor(sys *core.System, ps PersistentState) error {
-	sys.NVM.ResetStats()
-	sys.Sec.ResetStats()
-	if ps.Scheme.UsesCHV() {
-		if ps.Vault.Count > 0 {
-			if _, err := recovery.RestoreMetadataVaultFor(sys, ps.Vault, ps.Scheme.String()); err != nil {
-				return err
-			}
-		}
-		res, err := recovery.RecoverHorus(sys, ps)
-		if err != nil {
-			return err
-		}
-		if detail, _ := checkRecovered(res.Blocks, ep.blocks, &ep.index); detail != "" {
-			return errors.New(detail)
-		}
-		return nil
+	rep, err := recoverCore(sys, ps)
+	if err != nil || rep.Horus == nil {
+		return err
 	}
-	_, err := recovery.RecoverBaseline(sys, ps)
-	return err
+	if detail, _ := checkRecovered(rep.Horus.Blocks, ep.blocks, &ep.index); detail != "" {
+		return errors.New(detail)
+	}
+	return nil
 }
 
 // coverageTrial corrupts one victim of the complete image and reports the
@@ -779,16 +768,10 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 			sink.Counter("horus_litmus_cells_total",
 				"scheme", c.Scheme.String(), "outcome", c.Outcome.String()).Add(1)
 		}
-		sink.SetHelp("horus_recovery_detect_latency_blocks", "Blocks verified before the failing check fired, per detection (scheme x corruption model).")
-		sink.SetHelp("horus_recovery_detect_latency_ps", "Phase-local simulated time to the failing check, per detection (scheme x corruption model).")
 		for _, c := range rep.Cells {
-			if c.Forensic == nil {
-				continue
+			if c.Forensic != nil {
+				publishDetectLatency(sink, c.Scheme, "reorder", c.Forensic)
 			}
-			sink.Histogram("horus_recovery_detect_latency_blocks", obs.CountBuckets,
-				"scheme", c.Scheme.String(), "model", "reorder").Observe(float64(c.Forensic.BlocksScanned))
-			sink.Histogram("horus_recovery_detect_latency_ps", obs.LatencyBuckets,
-				"scheme", c.Scheme.String(), "model", "reorder").Observe(float64(c.Forensic.DetectLatencyPs))
 		}
 		sink.SetHelp("horus_litmus_coverage_trials_total", "Corruption-coverage trials by scheme, model, target and verdict.")
 		for _, c := range rep.Coverage {
@@ -803,13 +786,9 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 				}
 			}
 			for _, f := range c.Forensics {
-				if f == nil {
-					continue
+				if f != nil {
+					publishDetectLatency(sink, c.Scheme, c.Model.String(), f)
 				}
-				sink.Histogram("horus_recovery_detect_latency_blocks", obs.CountBuckets,
-					"scheme", c.Scheme.String(), "model", c.Model.String()).Observe(float64(f.BlocksScanned))
-				sink.Histogram("horus_recovery_detect_latency_ps", obs.LatencyBuckets,
-					"scheme", c.Scheme.String(), "model", c.Model.String()).Observe(float64(f.DetectLatencyPs))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package horus
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/osiris"
 )
 
@@ -24,18 +25,19 @@ type OsirisError = osiris.Error
 // stop-loss MAC candidates per block, and rebuilds the whole tree — the
 // recovery-time cost the related-work section discusses.
 func (s *System) RecoverWithOsiris() (OsirisResult, error) {
-	n := s.Config.Sec.OsirisStopLoss
-	if n <= 0 {
-		return OsirisResult{}, fmt.Errorf("horus: RecoverWithOsiris requires Config.Sec.OsirisStopLoss > 0")
-	}
-	return osiris.RecoverLabeled(s.Core, n, s.Scheme.String())
+	return recoverOsiris(s.Core, s.Config, s.Scheme)
 }
 
 // RecoverWithOsiris is the workload-system variant.
 func (ws *WorkloadSystem) RecoverWithOsiris() (OsirisResult, error) {
-	n := ws.Config.Sec.OsirisStopLoss
+	return recoverOsiris(ws.Core, ws.Config, ws.Scheme)
+}
+
+// recoverOsiris runs the Osiris reconstruction with the configured stop-loss.
+func recoverOsiris(cs *core.System, cfg Config, scheme Scheme) (OsirisResult, error) {
+	n := cfg.Sec.OsirisStopLoss
 	if n <= 0 {
 		return OsirisResult{}, fmt.Errorf("horus: RecoverWithOsiris requires Config.Sec.OsirisStopLoss > 0")
 	}
-	return osiris.RecoverLabeled(ws.Core, n, ws.Scheme.String())
+	return osiris.Recover(cs, n, scheme.String())
 }

@@ -28,8 +28,7 @@ func TestOsirisLifecycle(t *testing.T) {
 	}
 
 	// Crash with NO drain and NO vault: volatile metadata is simply lost.
-	ws.Machine.Crash()
-	ws.Core.Sec.Crash()
+	ws.Crash()
 
 	res, err := ws.RecoverWithOsiris()
 	if err != nil {

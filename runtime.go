@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/recovery"
 	"repro/internal/runsim"
 	"repro/internal/workload"
 )
@@ -105,58 +104,41 @@ func (ws *WorkloadSystem) CrashAndDrain() (Result, []DirtyBlock, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
+	ws.Crash()
+	return res, image, nil
+}
+
+// Crash models the loss of power at the current instant, without a drain:
+// the machine's caches and the volatile metadata state vanish; NVM and the
+// persistent registers survive.
+func (ws *WorkloadSystem) Crash() {
+	// Zero-length marker: power loss is instantaneous in the model.
 	ws.Core.Metrics.RecordSpan("crash", 0, 0)
 	ws.Machine.Crash()
 	if ws.Core.Sec != nil {
 		ws.Core.Sec.Crash()
 	}
-	return res, image, nil
 }
 
-// Recover restores the machine after a crash: for Horus schemes the
-// metadata vault and the CHV are verified and the recovered lines are
-// written back into the machine's hierarchy as dirty state; for baselines
-// the metadata vault alone suffices (data drained in place).
+// Recover restores the machine after a crash (recoverCore): for Horus
+// schemes the metadata vault and the CHV are verified and the recovered
+// lines are written back into the machine's hierarchy as dirty state; for
+// baselines the metadata vault alone suffices (data drained in place). On
+// an error the report is zero.
 func (ws *WorkloadSystem) Recover(ps PersistentState) (RecoveryReport, error) {
 	span := ws.Core.Metrics.StartSpan("recover", 0)
-	report, err := ws.recoverFrom(ps)
-	span.EndAt(int64(report.Time()))
-	return report, err
-}
-
-func (ws *WorkloadSystem) recoverFrom(ps PersistentState) (RecoveryReport, error) {
-	switch {
-	case ps.Scheme.UsesCHV():
-		report := RecoveryReport{}
-		// Power restore: timing starts on a fresh clock (the drain's bank
-		// reservations belong to the previous power session).
-		ws.Core.NVM.ResetStats()
-		ws.Core.Sec.ResetStats()
-		if ps.Vault.Count > 0 {
-			vres, err := recovery.RestoreMetadataVault(ws.Core, ps.Vault)
-			if err != nil {
-				return RecoveryReport{}, err
-			}
-			report.Baseline = &vres
-		}
-		res, err := recovery.RecoverHorus(ws.Core, ps)
-		if err != nil {
-			return RecoveryReport{}, err
-		}
-		for _, b := range res.Blocks {
-			if err := ws.Machine.Write(b.Addr, b.Data); err != nil {
-				return RecoveryReport{}, fmt.Errorf("horus: refill after recovery: %w", err)
+	rep, err := recoverCore(ws.Core, ps)
+	if err == nil && rep.Horus != nil {
+		for _, b := range rep.Horus.Blocks {
+			if err = ws.Machine.Write(b.Addr, b.Data); err != nil {
+				err = fmt.Errorf("horus: refill after recovery: %w", err)
+				break
 			}
 		}
-		report.Horus = &res
-		return report, nil
-	case ps.Scheme.Secure():
-		res, err := recovery.RecoverBaseline(ws.Core, ps)
-		if err != nil {
-			return RecoveryReport{}, err
-		}
-		return RecoveryReport{Baseline: &res}, nil
-	default:
-		return RecoveryReport{}, nil
 	}
+	if err != nil {
+		rep = RecoveryReport{}
+	}
+	span.EndAt(int64(rep.Time()))
+	return rep, err
 }

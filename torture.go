@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/hierarchy"
-	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/recovery"
 	"repro/internal/report"
@@ -281,18 +280,11 @@ func RunTortureMatrix(ctx context.Context, tc TortureConfig, opts SweepOptions) 
 	}
 	if sink != nil {
 		sink.SetHelp("horus_torture_cells_total", "Crash-matrix cells by scheme, fault flavor and recovery outcome.")
-		sink.SetHelp("horus_recovery_detect_latency_blocks",
-			"Blocks recovery had verified before a corruption check fired, by scheme and corruption model.")
-		sink.SetHelp("horus_recovery_detect_latency_ps",
-			"Phase-local simulated time at which a corruption check fired, picoseconds, by scheme and corruption model.")
 		for _, c := range rep.Cells {
 			sink.Counter("horus_torture_cells_total",
 				"scheme", c.Scheme.String(), "flavor", c.Flavor.String(), "outcome", c.Outcome.String()).Add(1)
 			if c.Outcome == OutcomeDetected && c.Forensic != nil {
-				sink.Histogram("horus_recovery_detect_latency_blocks", obs.CountBuckets,
-					"scheme", c.Scheme.String(), "model", c.Flavor.String()).Observe(float64(c.Forensic.BlocksScanned))
-				sink.Histogram("horus_recovery_detect_latency_ps", obs.LatencyBuckets,
-					"scheme", c.Scheme.String(), "model", c.Flavor.String()).Observe(float64(c.Forensic.DetectLatencyPs))
+				publishDetectLatency(sink, c.Scheme, c.Flavor.String(), c.Forensic)
 			}
 		}
 	}
@@ -391,12 +383,9 @@ func runTortureCell(cfg Config, scheme Scheme, w *Workload, plan faultinject.Cra
 	// Power loss: volatile state gone. For an interrupting fault the root
 	// register must be rewound to its at-cut snapshot — the post-cut
 	// fictional execution may have kept updating it.
-	ws.Machine.Crash()
-	if ws.Core.Sec != nil {
-		ws.Core.Sec.Crash()
-		if atCut != nil {
-			ws.Core.Sec.RestoreRoot(ps.Root)
-		}
+	ws.Crash()
+	if atCut != nil {
+		ws.Core.Sec.RestoreRoot(ps.Root)
 	}
 
 	cell.Outcome, cell.Detail, cell.Forensic, cell.RecoverTime = classifyOutcome(ws.Core, ps, blocks, atCut != nil)
