@@ -188,7 +188,8 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("experiments", func(t *testing.T) {
-		dir := t.TempDir()
+		// -csv creates its directory.
+		dir := filepath.Join(t.TempDir(), "csv")
 		out := run(t, bins["horus-experiments"], "-exp", "fig6,headline", "-scale", "test", "-csv", dir)
 		for _, want := range []string{"Fig. 6", "Headline", "Base-LU"} {
 			if !strings.Contains(out, want) {

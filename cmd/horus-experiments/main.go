@@ -45,6 +45,13 @@ func main() {
 			return cliutil.ExitFail, err
 		}
 		cfg.Timeline = tf.Recorder()
+		if *csvDir != "" {
+			// Create the directory before any sweep runs, so a paper-scale
+			// grid is never computed only to be lost at its first table.
+			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+				return cliutil.ExitFail, err
+			}
+		}
 		opts := horus.SweepOptions{Parallel: *parallel, Timeout: *timeout, Progress: env.Telemetry.ProgressFunc()}
 
 		// emit prints tables and mirrors each as CSV under -csv.

@@ -6,16 +6,24 @@
 // The cache tracks presence and dirtiness only; functional content for dirty
 // lines is held by the owning component (the secure memory controller keeps
 // the logical values of dirty metadata lines). This split mirrors hardware:
-// the array stores bits, the controller decides what they mean.
+// the array stores bits, the controller decides what they mean. So that
+// the owner finds that content without a table of its own, every line
+// carries an opaque int32 owner slot: the cache never interprets it, zeroes
+// it when a line is inserted and in InvalidateAll, and hands a victim's
+// slot back in its Eviction. The way-returning variants (LookupWay, WayOf,
+// InsertWay, Touch) give the owner the line index that Owner and SetOwner
+// take.
 package cache
 
 import "fmt"
 
-// line is one cache way.
+// line is one cache way. owner sits in the padding after the two flags, so
+// a line stays 24 bytes.
 type line struct {
 	tag   uint64
 	valid bool
 	dirty bool
+	owner int32  // opaque slot of the owning component; 0 = none
 	lru   uint64 // higher = more recently used
 }
 
@@ -96,34 +104,42 @@ func (c *Cache) addrOf(set, tag uint64) uint64 {
 
 // Lookup probes for addr. On a hit it updates LRU state and returns true.
 // On a miss it returns false and counts a miss; it does not allocate.
-func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.index(addr)
-	ways := c.set(set)
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
-			c.tick++
-			l.lru = c.tick
-			c.stats.Hits++
-			return true
-		}
+func (c *Cache) Lookup(addr uint64) bool { return c.LookupWay(addr) >= 0 }
+
+// LookupWay is Lookup returning the hit line's index, or -1 on a miss.
+func (c *Cache) LookupWay(addr uint64) int {
+	if w := c.WayOf(addr); w >= 0 {
+		c.tick++
+		c.lines[w].lru = c.tick
+		c.stats.Hits++
+		return w
 	}
 	c.stats.Misses++
-	return false
+	return -1
 }
 
 // Contains probes for addr without touching LRU state or statistics.
-func (c *Cache) Contains(addr uint64) bool {
+func (c *Cache) Contains(addr uint64) bool { return c.WayOf(addr) >= 0 }
+
+// WayOf returns the index of addr's line, or -1 if absent, without touching
+// LRU state or statistics.
+func (c *Cache) WayOf(addr uint64) int {
 	set, tag := c.index(addr)
-	ways := c.set(set)
+	base := int(set) * c.ways
+	ways := c.lines[base : base+c.ways]
 	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
-			return true
+		if l := &ways[i]; l.valid && l.tag == tag {
+			return base + i
 		}
 	}
-	return false
+	return -1
 }
+
+// Owner returns the owner slot of the line at index way.
+func (c *Cache) Owner(way int) int32 { return c.lines[way].owner }
+
+// SetOwner sets the owner slot of the line at index way.
+func (c *Cache) SetOwner(way int, owner int32) { c.lines[way].owner = owner }
 
 // IsDirty reports whether addr is present and dirty (no LRU update).
 func (c *Cache) IsDirty(addr uint64) bool {
@@ -142,12 +158,20 @@ func (c *Cache) IsDirty(addr uint64) bool {
 type Eviction struct {
 	Addr  uint64
 	Dirty bool
+	Owner int32 // the victim's owner slot
 }
 
 // Insert allocates addr (which must not be present), choosing the LRU victim
 // if the set is full. It returns the eviction, if any. The dirty flag sets
 // the initial dirtiness of the new line.
 func (c *Cache) Insert(addr uint64, dirty bool) (ev Eviction, evicted bool) {
+	_, ev, evicted = c.InsertWay(addr, dirty)
+	return ev, evicted
+}
+
+// InsertWay is Insert also returning the new line's index. The new line's
+// owner slot is zero.
+func (c *Cache) InsertWay(addr uint64, dirty bool) (way int, ev Eviction, evicted bool) {
 	set, tag := c.index(addr)
 	victim := -1
 	cleanVictim := -1
@@ -178,7 +202,7 @@ func (c *Cache) Insert(addr uint64, dirty bool) (ev Eviction, evicted bool) {
 	}
 	v := &ways[victim]
 	if v.valid {
-		ev = Eviction{Addr: c.addrOf(set, v.tag), Dirty: v.dirty}
+		ev = Eviction{Addr: c.addrOf(set, v.tag), Dirty: v.dirty, Owner: v.owner}
 		evicted = true
 		c.stats.Evictions++
 		if v.dirty {
@@ -187,26 +211,23 @@ func (c *Cache) Insert(addr uint64, dirty bool) (ev Eviction, evicted bool) {
 	}
 	c.tick++
 	*v = line{tag: tag, valid: true, dirty: dirty, lru: c.tick}
-	return ev, evicted
+	return int(set)*c.ways + victim, ev, evicted
 }
 
 // Touch marks addr (which must be present) as most recently used and
-// optionally dirty.
-func (c *Cache) Touch(addr uint64, makeDirty bool) {
-	set, tag := c.index(addr)
-	ways := c.set(set)
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
-			c.tick++
-			l.lru = c.tick
-			if makeDirty {
-				l.dirty = true
-			}
-			return
-		}
+// optionally dirty, and returns its line's index.
+func (c *Cache) Touch(addr uint64, makeDirty bool) int {
+	w := c.WayOf(addr)
+	if w < 0 {
+		panic(fmt.Sprintf("cache %s: Touch of absent address %#x", c.name, addr))
 	}
-	panic(fmt.Sprintf("cache %s: Touch of absent address %#x", c.name, addr))
+	l := &c.lines[w]
+	c.tick++
+	l.lru = c.tick
+	if makeDirty {
+		l.dirty = true
+	}
+	return w
 }
 
 // Clean clears the dirty bit of addr if present.
@@ -259,6 +280,16 @@ func (c *Cache) DirtyLines() []uint64 {
 		}
 	}
 	return out
+}
+
+// EachDirty calls fn with the address and owner slot of every valid dirty
+// line, in scan order.
+func (c *Cache) EachDirty(fn func(addr uint64, owner int32)) {
+	for i := range c.lines {
+		if l := &c.lines[i]; l.valid && l.dirty {
+			fn(c.addrOf(uint64(i/c.ways), l.tag), l.owner)
+		}
+	}
 }
 
 // CountValid returns the number of valid lines.

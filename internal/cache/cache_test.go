@@ -2,8 +2,10 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestGeometry(t *testing.T) {
@@ -280,5 +282,129 @@ func TestEvictionSameSetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLineStaysTwentyFourBytes pins that the owner slot sits in the padding
+// after the two flags: a metadata cache's line array does not grow.
+func TestLineStaysTwentyFourBytes(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 24 {
+		t.Fatalf("line is %d bytes, want 24", n)
+	}
+}
+
+// TestWayIndicesAgree checks that InsertWay, LookupWay, WayOf and Touch
+// name the same line for an address, and that the index is the line's
+// position in the set-major array.
+func TestWayIndicesAgree(t *testing.T) {
+	c := New("t", 8*64, 2, 64)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		a := uint64(rng.Intn(64)) * 64
+		var way int
+		if w := c.WayOf(a); w >= 0 {
+			way = w
+		} else {
+			way, _, _ = c.InsertWay(a, rng.Intn(2) == 0)
+		}
+		if got := c.WayOf(a); got != way {
+			t.Fatalf("op %d: WayOf(%#x) = %d, want %d", i, a, got, way)
+		}
+		if got := c.LookupWay(a); got != way {
+			t.Fatalf("op %d: LookupWay(%#x) = %d, want %d", i, a, got, way)
+		}
+		if got := c.Touch(a, false); got != way {
+			t.Fatalf("op %d: Touch(%#x) = %d, want %d", i, a, got, way)
+		}
+		if set := uint64(way / c.ways); set != (a/64)%c.numSets {
+			t.Fatalf("op %d: way %d of %#x is outside its set", i, way, a)
+		}
+	}
+	if c.LookupWay(1<<20) != -1 || c.WayOf(1<<20) != -1 {
+		t.Fatal("absent address returned a way")
+	}
+}
+
+// TestOwnerSlotLifecycle checks that a dirty victim reports its owner slot,
+// that Insert hands out the victim's way with a zero slot, that Touch and
+// Clean keep the slot, and that InvalidateAll zeroes every slot.
+func TestOwnerSlotLifecycle(t *testing.T) {
+	c := New("t", 2*64, 2, 64) // one set, two ways
+	w0, _, _ := c.InsertWay(0, true)
+	w1, _, _ := c.InsertWay(64, false)
+	c.SetOwner(w0, 7)
+	c.SetOwner(w1, 9)
+	c.Touch(0, true)
+	c.Clean(64)
+	if c.Owner(w0) != 7 || c.Owner(w1) != 9 {
+		t.Fatalf("Touch or Clean changed a slot: %d %d", c.Owner(w0), c.Owner(w1))
+	}
+	c.Touch(64, true) // 0 becomes LRU
+	w2, ev, evicted := c.InsertWay(128, false)
+	if !evicted || ev != (Eviction{Addr: 0, Dirty: true, Owner: 7}) {
+		t.Fatalf("eviction = %+v, %v; want line 0, dirty, slot 7", ev, evicted)
+	}
+	if w2 != w0 || c.Owner(w2) != 0 {
+		t.Fatalf("new line at way %d with slot %d; want way %d with slot 0", w2, c.Owner(w2), w0)
+	}
+	c.InvalidateAll()
+	for i := range c.lines {
+		if c.lines[i].owner != 0 {
+			t.Fatalf("InvalidateAll left slot %d at way %d", c.lines[i].owner, i)
+		}
+	}
+}
+
+// TestWayVariantsMatchBoolAPI drives two caches with one random sequence,
+// one through Lookup, Contains and Insert and the other through their
+// way-returning variants: lines, LRU state and statistics must stay equal.
+// A Contains or WayOf probe must move neither the statistics nor the LRU
+// state, and every Lookup must count exactly one hit or miss.
+func TestWayVariantsMatchBoolAPI(t *testing.T) {
+	for _, preferClean := range []bool{false, true} {
+		a, b := New("a", 16*64, 4, 64), New("b", 16*64, 4, 64)
+		a.SetPreferCleanVictims(preferClean)
+		b.SetPreferCleanVictims(preferClean)
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 2000; i++ {
+			addr := uint64(rng.Intn(64)) * 64
+			dirty := rng.Intn(3) == 0
+			before := a.Stats()
+			switch rng.Intn(3) {
+			case 0:
+				hit := a.Lookup(addr)
+				if got := b.LookupWay(addr) >= 0; got != hit {
+					t.Fatalf("op %d: Lookup %v, LookupWay hit %v", i, hit, got)
+				}
+				st := a.Stats()
+				if st.Hits+st.Misses != before.Hits+before.Misses+1 {
+					t.Fatalf("op %d: Lookup counted %+v -> %+v", i, before, st)
+				}
+				if !hit {
+					evA, okA := a.Insert(addr, dirty)
+					_, evB, okB := b.InsertWay(addr, dirty)
+					if evA != evB || okA != okB {
+						t.Fatalf("op %d: Insert %+v %v, InsertWay %+v %v", i, evA, okA, evB, okB)
+					}
+				}
+			case 1:
+				lines := append([]line(nil), a.lines...)
+				in := a.Contains(addr)
+				if got := b.WayOf(addr) >= 0; got != in {
+					t.Fatalf("op %d: Contains %v, WayOf %v", i, in, got)
+				}
+				if a.Stats() != before || !reflect.DeepEqual(a.lines, lines) {
+					t.Fatalf("op %d: Contains moved statistics or LRU state", i)
+				}
+			case 2:
+				if a.Contains(addr) {
+					a.Touch(addr, dirty)
+					b.Touch(addr, dirty)
+				}
+			}
+			if a.Stats() != b.Stats() || a.tick != b.tick || !reflect.DeepEqual(a.lines, b.lines) {
+				t.Fatalf("op %d: caches diverged", i)
+			}
+		}
 	}
 }

@@ -13,14 +13,19 @@
 //
 // Invariant maintained by both update schemes: a tree node or counter block
 // *persisted in NVM* always matches the entry its parent holds for it at
-// the same persistence level; any newer value lives in a metadata cache
-// (logically, in the controller's dirty-line table). Verification therefore
-// always checks a fetched node against its nearest cached ancestor, falling
-// back to the on-chip root register.
+// the same persistence level; any newer value lives in a metadata cache.
+// Verification therefore always checks a fetched node against its nearest
+// cached ancestor, falling back to the on-chip root register.
+//
+// The content of a dirty metadata line is kept by cache way: the line's
+// owner slot indexes a pool of blocks that grows on demand, and a clean
+// line (slot 0) reads its content from NVM. A dirty victim whose eviction
+// is still cascading into parent updates sits in a short write-back
+// buffer instead. No per-address table is needed: the way scan that
+// Lookup and Insert already make finds the content.
 package secmem
 
 import (
-	"repro/internal/addrmap"
 	"repro/internal/bmt"
 	"repro/internal/cache"
 	"repro/internal/cme"
@@ -123,10 +128,20 @@ type Controller struct {
 	macCache  *cache.Cache
 	treeCache *cache.Cache
 
-	// dirty holds the logical content of every dirty metadata line; clean
-	// cached lines equal the NVM content. It grows on demand: most crash
-	// oracle machines dirty only a handful of lines.
-	dirty addrmap.Map[dirtyEntry]
+	// pool holds the logical content of every dirty cached metadata line,
+	// indexed by the line's cache owner slot; slot 0 is never handed out
+	// and means clean (the content is the NVM copy). free lists released
+	// slots. The pool grows on demand: most crash-oracle machines dirty
+	// only a handful of lines, so nothing is allocated per way up front.
+	pool []mem.Block
+	free []int32
+
+	// wb is the write-back buffer: dirty victims chosen for eviction but
+	// not yet persisted, with their content. An evicting line's content
+	// stays readable, and updatable, here while its parent-update cascade
+	// runs. Cascades nest, so entries are pushed and popped LIFO, at most
+	// maxEvictionDepth deep; between operations it is empty.
+	wb []wbLine
 
 	// root is the on-chip persistent root register: the content of the
 	// single top tree node (eight MACs of the topmost stored level).
@@ -158,14 +173,10 @@ type Controller struct {
 	tl *timeline.Recorder // optional event-timeline recorder
 }
 
-// dirtyEntry is one dirty metadata line: its logical content, and whether it
-// sits in the write-back buffer (chosen as a victim, not yet persisted). An
-// evicting line's content stays readable, and updatable, here while the
-// eviction cascade runs, so the evicting lines are a subset of the dirty
-// ones and leave the table with them.
-type dirtyEntry struct {
-	content  mem.Block
-	evicting bool
+// wbLine is one write-back buffer entry.
+type wbLine struct {
+	addr    uint64
+	content mem.Block
 }
 
 // engineMetrics caches metric handles for the issueAES/issueMAC hot paths.
@@ -300,14 +311,14 @@ func (c *Controller) DirtyMetadataLines() int {
 	return c.ctrCache.CountDirty() + c.macCache.CountDirty() + c.treeCache.CountDirty()
 }
 
-// Crash discards all volatile state: the metadata caches and the logical
-// dirty-line table. The root register, like the drain counters, lives in a
-// persistent on-chip register and survives (§IV-C1).
+// Crash discards all volatile state: the metadata caches, the dirty-line
+// content and the write-back buffer. The root register, like the drain
+// counters, lives in a persistent on-chip register and survives (§IV-C1).
 func (c *Controller) Crash() {
 	c.ctrCache.InvalidateAll()
 	c.macCache.InvalidateAll()
 	c.treeCache.InvalidateAll()
-	c.dirty.Reset()
+	c.pool, c.free, c.wb = c.pool[:0], c.free[:0], c.wb[:0]
 }
 
 // ResetStats clears engine timing and MAC counters (the NVM's stats are
@@ -320,7 +331,7 @@ func (c *Controller) ResetStats() {
 	c.aesOps = 0
 }
 
-// cacheFor returns the metadata cache responsible for a metadata address.
+// cacheFor returns the metadata cache responsible for a metadata level.
 func (c *Controller) cacheFor(level int) *cache.Cache {
 	if level == 0 {
 		return c.ctrCache
@@ -328,20 +339,42 @@ func (c *Controller) cacheFor(level int) *cache.Cache {
 	return c.treeCache
 }
 
-// logicalRead returns the current logical content of a metadata line that
-// is present in a cache: the dirty table if dirty, otherwise NVM content.
-func (c *Controller) logicalRead(addr uint64) mem.Block {
-	if e, ok := c.dirty.Get(addr); ok {
-		return e.content
+// wayContent returns the current logical content of the metadata line addr
+// held at index way of ca: its pool slot if dirty, otherwise NVM content.
+func (c *Controller) wayContent(ca *cache.Cache, way int, addr uint64) mem.Block {
+	if s := ca.Owner(way); s != 0 {
+		return c.pool[s]
 	}
 	return c.nvm.PeekRead(addr)
 }
 
-// inWriteBack returns the content of a line sitting in the write-back
-// buffer, and whether it is there.
-func (c *Controller) inWriteBack(addr uint64) (mem.Block, bool) {
-	e, ok := c.dirty.Get(addr)
-	return e.content, ok && e.evicting
+// allocSlot stores content in a free pool slot and returns the slot.
+func (c *Controller) allocSlot(content mem.Block) int32 {
+	if n := len(c.free); n > 0 {
+		s := c.free[n-1]
+		c.free = c.free[:n-1]
+		c.pool[s] = content
+		return s
+	}
+	if len(c.pool) == 0 {
+		c.pool = append(c.pool, mem.Block{}) // slot 0: clean
+	}
+	c.pool = append(c.pool, content)
+	return int32(len(c.pool) - 1)
+}
+
+// releaseSlot returns a pool slot to the free list.
+func (c *Controller) releaseSlot(s int32) { c.free = append(c.free, s) }
+
+// inWriteBack returns the write-back buffer index of addr, or -1 if it is
+// not there. The buffer is empty outside an eviction cascade.
+func (c *Controller) inWriteBack(addr uint64) int {
+	for i := len(c.wb) - 1; i >= 0; i-- {
+		if c.wb[i].addr == addr {
+			return i
+		}
+	}
+	return -1
 }
 
 // IssueAES exposes the shared AES engine to the drain path: Horus reuses
@@ -401,6 +434,10 @@ func memCategoryFor(level int) mem.Category {
 // markDirty records new logical content for a cached metadata line and sets
 // its dirty bit.
 func (c *Controller) markDirty(ca *cache.Cache, addr uint64, content mem.Block) {
-	c.dirty.Ref(addr).content = content
-	ca.Touch(addr, true)
+	way := ca.Touch(addr, true)
+	if s := ca.Owner(way); s != 0 {
+		c.pool[s] = content
+		return
+	}
+	ca.SetOwner(way, c.allocSlot(content))
 }

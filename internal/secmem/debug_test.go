@@ -8,6 +8,13 @@ import (
 	"repro/internal/sim"
 )
 
+// logicalRead returns the current logical content of a metadata line that
+// is present in a cache: its pool slot if dirty, otherwise NVM content.
+func (c *Controller) logicalRead(addr uint64) mem.Block {
+	ca := c.cacheOfAddr(addr, "reading")
+	return c.wayContent(ca, ca.WayOf(addr), addr)
+}
+
 // checkInvariant verifies that every persisted (non-dirty-cached) tree and
 // counter node matches its parent's logical entry. It walks all NVM blocks
 // the test has touched via the golden address list.

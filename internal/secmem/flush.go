@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/bmt"
+	"repro/internal/cache"
 	"repro/internal/cme"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -134,28 +135,48 @@ func (c *Controller) flushToVault(now sim.Time) (VaultRecord, sim.Time) {
 }
 
 // dirtyLinesOrdered snapshots every dirty metadata line across the three
-// caches in a deterministic order (by address).
+// caches in a deterministic order (by address). A flush runs between
+// operations, when no eviction cascade holds lines in the write-back
+// buffer.
 func (c *Controller) dirtyLinesOrdered() []VaultLine {
-	out := make([]VaultLine, 0, c.dirty.Len())
-	c.dirty.Each(func(addr uint64, e dirtyEntry) {
-		out = append(out, VaultLine{Addr: addr, Content: e.content})
-	})
+	if len(c.wb) != 0 {
+		panic("secmem: metadata flush during an eviction cascade")
+	}
+	var out []VaultLine
+	if len(c.pool) > 0 {
+		out = make([]VaultLine, 0, len(c.pool)-1-len(c.free))
+	}
+	for _, ca := range []*cache.Cache{c.ctrCache, c.macCache, c.treeCache} {
+		ca.EachDirty(func(addr uint64, owner int32) {
+			out = append(out, VaultLine{Addr: addr, Content: c.pool[owner]})
+		})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
+}
+
+// cacheOfAddr returns the metadata cache responsible for a counter, tree or
+// data-MAC address; any other address panics, naming the operation.
+func (c *Controller) cacheOfAddr(addr uint64, op string) *cache.Cache {
+	if level, _, isNode := c.lay.Coord(addr); isNode {
+		return c.cacheFor(level)
+	}
+	if c.lay.RegionOf(addr) != bmt.RegionMAC {
+		panic(fmt.Sprintf("secmem: %s unexpected address %#x", op, addr))
+	}
+	return c.macCache
 }
 
 // cleanLine clears the dirty state of a metadata line after it has been
 // made persistent (in place or in the vault).
 func (c *Controller) cleanLine(addr uint64) {
-	c.dirty.Delete(addr)
-	level, _, isNode := c.lay.Coord(addr)
-	switch {
-	case isNode:
-		c.cacheFor(level).Clean(addr)
-	case c.lay.RegionOf(addr) == bmt.RegionMAC:
-		c.macCache.Clean(addr)
-	default:
-		panic(fmt.Sprintf("secmem: cleaning unexpected address %#x", addr))
+	ca := c.cacheOfAddr(addr, "cleaning")
+	if way := ca.WayOf(addr); way >= 0 {
+		if s := ca.Owner(way); s != 0 {
+			c.releaseSlot(s)
+			ca.SetOwner(way, 0)
+		}
+		ca.Clean(addr)
 	}
 }
 
@@ -165,13 +186,7 @@ func (c *Controller) cleanLine(addr uint64) {
 // content happens in the recovery package before this is called.
 func (c *Controller) ReinstallMetadata(lines []VaultLine) {
 	for _, line := range lines {
-		level, _, isNode := c.lay.Coord(line.Addr)
-		var ca = c.macCache
-		if isNode {
-			ca = c.cacheFor(level)
-		} else if c.lay.RegionOf(line.Addr) != bmt.RegionMAC {
-			panic(fmt.Sprintf("secmem: reinstalling unexpected address %#x", line.Addr))
-		}
+		ca := c.cacheOfAddr(line.Addr, "reinstalling")
 		if ca.Contains(line.Addr) {
 			c.markDirty(ca, line.Addr, line.Content)
 			continue

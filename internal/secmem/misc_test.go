@@ -1,6 +1,7 @@
 package secmem
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/bmt"
@@ -99,3 +100,39 @@ func newLayoutAndNVM() (*bmt.Layout, *mem.Controller) {
 }
 
 func newEngine() *cme.Engine { return cme.NewEngine(99) }
+
+// TestControllerNewByteBudget gates the bytes secmem.New allocates at
+// DefaultConfig (Table I's 256/512/256 KB metadata caches) and at the 8/16/8
+// KB caches of the root package's TestConfig. Almost all of it is the three
+// caches' line arrays, 24 bytes a way; dirty-line content is allocated on
+// demand, so a crash-oracle machine that dirties a handful of lines pays
+// for a handful. Content allocated per way up front (64 bytes a way) would
+// add 1 MiB at DefaultConfig and fail this gate.
+//
+// The ceilings are the bytes measured with go1.24 on linux/amd64 plus 10%,
+// rounded down: 394,480 (DefaultConfig) and 13,552 (TestConfig caches),
+// the same with -race.
+func TestControllerNewByteBudget(t *testing.T) {
+	small := DefaultConfig()
+	small.CounterCacheBytes, small.MACCacheBytes, small.TreeCacheBytes = 8<<10, 16<<10, 8<<10
+	lay := bmt.NewLayout(bmt.Config{DataSize: 64 << 20, CHVCapacity: 1024, VaultBlocks: 20000})
+	eng, nvm := cme.NewEngine(99), mem.NewController(mem.DefaultConfig())
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		ceiling uint64
+	}{
+		{"DefaultConfig", DefaultConfig(), 433_928},
+		{"TestConfig caches", small, 14_907},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		New(tc.cfg, lay, eng, nvm)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: New allocates %d bytes", tc.name, got)
+		if got > tc.ceiling {
+			t.Errorf("%s: New allocates %d bytes, budget %d", tc.name, got, tc.ceiling)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/bmt"
+	"repro/internal/cache"
 	"repro/internal/cme"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -133,7 +134,7 @@ func (o countObserver) OnAccess(string, sim.Time, uint64, string) { *o.n++ }
 // history; one then reads an address sequence through the timed ReadBlock,
 // the other probes it through ProbeBlock. Every functional outcome must
 // agree — blocks, typed errors, NVM content and wear, hook calls, cache
-// contents with their dirty bits and LRU state, the dirty-line table and
+// contents with their dirty bits and LRU state, the dirty lines' content and
 // the root — while the probe side's timing state must not move at all.
 func TestProbeBlockMatchesReadBlock(t *testing.T) {
 	var probes, detections, panics int
@@ -227,7 +228,7 @@ func TestProbeBlockMatchesReadBlock(t *testing.T) {
 					{"counter cache", probed.ctrCache, timed.ctrCache},
 					{"MAC cache", probed.macCache, timed.macCache},
 					{"tree cache", probed.treeCache, timed.treeCache},
-					{"dirty-line table", dirtyImage(probed), dirtyImage(timed)},
+					{"dirty-line content", dirtyImage(probed), dirtyImage(timed)},
 					{"root register", probed.root, timed.root},
 				} {
 					if !reflect.DeepEqual(st.probed, st.timed) {
@@ -248,12 +249,25 @@ func TestProbeBlockMatchesReadBlock(t *testing.T) {
 	t.Logf("%d probes, %d dirty evictions, %d detections, %d eviction panics", probes, dirtyEvictions, detections, panics)
 }
 
-// dirtyImage is the dirty-line table's logical contents, every line's
-// content and write-back-buffer flag, independent of where the table's
-// history placed the entries in its slot array.
-func dirtyImage(c *Controller) map[uint64]dirtyEntry {
-	out := map[uint64]dirtyEntry{}
-	c.dirty.Each(func(addr uint64, e dirtyEntry) { out[addr] = e })
+// dirtyLine is one dirty metadata line's logical content, and whether it
+// sits in the write-back buffer.
+type dirtyLine struct {
+	content  mem.Block
+	evicting bool
+}
+
+// dirtyImage is every dirty line's content and write-back-buffer flag:
+// the cached dirty lines read through their pool slots plus the write-back
+// buffer's entries, independent of which pool slots the history handed
+// out.
+func dirtyImage(c *Controller) map[uint64]dirtyLine {
+	out := map[uint64]dirtyLine{}
+	for _, ca := range []*cache.Cache{c.ctrCache, c.macCache, c.treeCache} {
+		ca.EachDirty(func(addr uint64, owner int32) { out[addr] = dirtyLine{content: c.pool[owner]} })
+	}
+	for _, w := range c.wb {
+		out[w.addr] = dirtyLine{content: w.content, evicting: true}
+	}
 	return out
 }
 

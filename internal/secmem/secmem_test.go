@@ -207,7 +207,7 @@ func TestTamperCounterDetectedLazy(t *testing.T) {
 		now = done
 	}
 	ctrAddr := lay.CounterBlockAddr(addr)
-	if c.cacheOf(0).Contains(ctrAddr) {
+	if c.cacheFor(0).Contains(ctrAddr) {
 		t.Skip("counter line unexpectedly still cached; flood too small")
 	}
 	nvm.Store().CorruptByte(ctrAddr, 0, 0x01)

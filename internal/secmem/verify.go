@@ -58,13 +58,13 @@ func (c *Controller) ensureNode(ready sim.Time, level int, index uint64) (mem.Bl
 	}
 	addr := c.lay.NodeAddr(level, index)
 	ca := c.cacheFor(level)
-	if ca.Lookup(addr) {
-		return c.logicalRead(addr), ready, nil
+	if way := ca.LookupWay(addr); way >= 0 {
+		return c.wayContent(ca, way, addr), ready, nil
 	}
-	if b, ok := c.inWriteBack(addr); ok {
+	if i := c.inWriteBack(addr); i >= 0 {
 		// Write-back buffer hit: the line is mid-eviction; its current
-		// content lives in the dirty table until the write-back completes.
-		return b, ready, nil
+		// content lives in the buffer until the write-back completes.
+		return c.wb[i].content, ready, nil
 	}
 	// Miss: fetch from NVM and verify against the parent, which is fetched
 	// (and verified) recursively until a cached ancestor or the root.
@@ -97,11 +97,11 @@ func (c *Controller) ensureNode(ready sim.Time, level int, index uint64) (mem.Bl
 	// The parent fetch may have cascaded into evictions whose handling
 	// fetched (or is currently writing back) this very node; in that case
 	// its current logical content supersedes the copy read above.
-	if ca.Contains(addr) {
-		return c.logicalRead(addr), t, nil
+	if way := ca.WayOf(addr); way >= 0 {
+		return c.wayContent(ca, way, addr), t, nil
 	}
-	if b, ok := c.inWriteBack(addr); ok {
-		return b, t, nil
+	if i := c.inWriteBack(addr); i >= 0 {
+		return c.wb[i].content, t, nil
 	}
 	c.insertLine(t, ca, addr, false, raw)
 	return raw, t, nil
@@ -112,8 +112,8 @@ func (c *Controller) ensureNode(ready sim.Time, level int, index uint64) (mem.Bl
 // (Bonsai: the per-block MAC itself provides integrity and freshness once
 // the counter is verified), so no verification walk is needed.
 func (c *Controller) ensureMACBlock(ready sim.Time, addr uint64) (mem.Block, sim.Time) {
-	if c.macCache.Lookup(addr) {
-		return c.logicalRead(addr), ready
+	if way := c.macCache.LookupWay(addr); way >= 0 {
+		return c.wayContent(c.macCache, way, addr), ready
 	}
 	raw, t := c.nvm.Read(ready, addr, mem.CatMAC)
 	c.insertLine(t, c.macCache, addr, false, raw)
@@ -126,12 +126,15 @@ func (c *Controller) ensureMACBlock(ready sim.Time, addr uint64) (mem.Block, sim
 // under the eager scheme parents are already current, so only the
 // write-back happens).
 func (c *Controller) insertLine(ready sim.Time, ca *cache.Cache, addr uint64, dirty bool, content mem.Block) {
+	way, ev, evicted := ca.InsertWay(addr, dirty)
 	if dirty {
-		c.dirty.Ref(addr).content = content
+		ca.SetOwner(way, c.allocSlot(content))
 	}
-	ev, evicted := ca.Insert(addr, dirty)
 	if !evicted || !ev.Dirty {
 		return
+	}
+	if ev.Owner == 0 {
+		panic(fmt.Sprintf("secmem: dirty victim %#x holds no content slot", ev.Addr))
 	}
 	c.evictionDepth++
 	if c.evictionDepth > maxEvictionDepth {
@@ -153,25 +156,26 @@ func (c *Controller) insertLine(ready sim.Time, ca *cache.Cache, addr uint64, di
 		// Data-MAC blocks have no parent entry; under the eager scheme
 		// parents were already updated at write time. No cascade can touch
 		// the victim, so write it back directly.
-		e, _ := c.dirty.Get(ev.Addr)
-		c.nvm.Write(ready, ev.Addr, e.content, cat)
-		c.dirty.Delete(ev.Addr)
+		c.nvm.Write(ready, ev.Addr, c.pool[ev.Owner], cat)
+		c.releaseSlot(ev.Owner)
 		return
 	}
 	// Lazy: recompute the parent entry before persisting the new content,
 	// so nested fetches never observe (new content, old entry) in NVM.
-	// While the parent update cascades, the victim sits in a write-back
-	// buffer (the evicting set): nested cascades may re-read it — or even
-	// update one of its own child entries — through that buffer, in which
-	// case the parent entry is recomputed for the final content.
-	c.dirty.Ref(ev.Addr).evicting = true
+	// While the parent update cascades, the victim sits in the write-back
+	// buffer: nested cascades may re-read it — or even update one of its
+	// own child entries — through that buffer, in which case the parent
+	// entry is recomputed for the final content. Nested cascades push and
+	// pop above it, so its index stays put.
+	wi := len(c.wb)
+	c.wb = append(c.wb, wbLine{addr: ev.Addr, content: c.pool[ev.Owner]})
+	c.releaseSlot(ev.Owner)
 	t := ready
 	for attempt := 0; ; attempt++ {
 		if attempt > 16 {
 			panic("secmem: victim thrashing during eviction")
 		}
-		e, _ := c.dirty.Get(ev.Addr)
-		content := e.content
+		content := c.wb[wi].content
 		t = c.issueMAC(t, MACTreeUpdate)
 		macVal := c.eng.NodeMAC(level, index, content)
 		if err := c.storeParentEntry(t, level, index, macVal); err != nil {
@@ -179,11 +183,11 @@ func (c *Controller) insertLine(ready sim.Time, ca *cache.Cache, addr uint64, di
 			// NVM was tampered with mid-operation; surface it loudly.
 			panic(fmt.Sprintf("secmem: integrity failure during eviction: %v", err))
 		}
-		if e, _ := c.dirty.Get(ev.Addr); e.content != content {
+		if c.wb[wi].content != content {
 			continue // a nested cascade updated the victim; redo the entry
 		}
 		c.nvm.Write(t, ev.Addr, content, cat)
-		c.dirty.Delete(ev.Addr)
+		c.wb = c.wb[:wi]
 		return
 	}
 }
@@ -221,18 +225,17 @@ func (c *Controller) updateNodeEntry(ready sim.Time, level int, index uint64, sl
 		if _, t, err = c.ensureNode(t, level, index); err != nil {
 			return mem.Block{}, t, err
 		}
-		if ca.Contains(addr) {
-			content := c.logicalRead(addr)
+		if way := ca.WayOf(addr); way >= 0 {
+			content := c.wayContent(ca, way, addr)
 			setEntry(&content, slot, macVal)
 			c.markDirty(ca, addr, content)
 			return content, t, nil
 		}
-		if content, ok := c.inWriteBack(addr); ok {
+		if i := c.inWriteBack(addr); i >= 0 {
 			// The node is mid-eviction: update it in the write-back buffer;
 			// the eviction loop recomputes its parent entry afterwards.
-			setEntry(&content, slot, macVal)
-			c.dirty.Ref(addr).content = content
-			return content, t, nil
+			setEntry(&c.wb[i].content, slot, macVal)
+			return c.wb[i].content, t, nil
 		}
 		// Evicted by a cascade during the fetch; refetch.
 	}
@@ -261,6 +264,3 @@ func (c *Controller) propagateEager(ready sim.Time, level int, index uint64, con
 	}
 	return t, nil
 }
-
-// cacheOf exposes internal caches to tests in this package.
-func (c *Controller) cacheOf(level int) *cache.Cache { return c.cacheFor(level) }
