@@ -12,21 +12,22 @@ import (
 // are first incremented, which keeps reports stable for a deterministic run.
 //
 // Add is on the simulator's per-memory-access hot path, so values live in a
-// slice indexed by a name→index map rather than directly in a string-keyed
-// map, and the last-hit index is cached: runs of accesses in the same
-// category (the common case in a drain loop, where the name is a constant
-// string compared pointer-first) skip the hash entirely.
+// slice parallel to the names, and the last-hit index is cached: runs of
+// accesses in the same category (the common case in a drain loop, where
+// the name is a constant string compared pointer-first) skip the lookup
+// entirely. A lookup scans the names: a set holds about ten (the memory
+// categories and the L<n> level labels), where a linear scan costs less
+// than hashing the name, and a set needs no map allocated.
 type CounterSet struct {
 	order []string
 	vals  []int64
-	index map[string]int
 	last  string // name of the most recently added category
 	lasti int    // its index in vals
 }
 
 // NewCounterSet returns an empty counter set.
 func NewCounterSet() *CounterSet {
-	return &CounterSet{index: make(map[string]int), lasti: -1}
+	return &CounterSet{lasti: -1}
 }
 
 // Add increments the named counter by n, creating it if needed.
@@ -35,10 +36,9 @@ func (cs *CounterSet) Add(name string, n int64) {
 		cs.vals[cs.lasti] += n
 		return
 	}
-	i, ok := cs.index[name]
-	if !ok {
+	i := cs.find(name)
+	if i < 0 {
 		i = len(cs.vals)
-		cs.index[name] = i
 		cs.order = append(cs.order, name)
 		cs.vals = append(cs.vals, 0)
 	}
@@ -46,9 +46,19 @@ func (cs *CounterSet) Add(name string, n int64) {
 	cs.last, cs.lasti = name, i
 }
 
+// find returns the index of the named counter, or -1.
+func (cs *CounterSet) find(name string) int {
+	for i, o := range cs.order {
+		if o == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Get returns the value of the named counter (zero if absent).
 func (cs *CounterSet) Get(name string) int64 {
-	if i, ok := cs.index[name]; ok {
+	if i := cs.find(name); i >= 0 {
 		return cs.vals[i]
 	}
 	return 0

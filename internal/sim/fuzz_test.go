@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // FuzzTimelineReserve drives the gap-filling scheduler with arbitrary
 // (ready, duration) sequences and checks the structural invariants — no
@@ -20,6 +23,9 @@ func FuzzTimelineReserve(f *testing.F) {
 		fill = append(fill, byte(7*k), byte(k))
 	}
 	f.Add(fill)
+	// Every event that moves or invalidates the head cache (see
+	// TestTimelineHeadCacheEvents).
+	f.Add(headCacheOps(rand.New(rand.NewSource(headCacheFuzzSeed))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tl timeline
 		var m boundedModel

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -224,6 +226,61 @@ func TestCounterSet(t *testing.T) {
 	}
 	if got := cs.String(); got != "writes=7 reads=2" {
 		t.Errorf("String = %q", got)
+	}
+	if cs.Get("absent") != 0 || len(cs.Names()) != 2 {
+		t.Error("Get of an absent name created it")
+	}
+
+	// More names than a set usually holds, added out of lexical order and
+	// revisited in a different order than first use: values, first-use
+	// order and Get (which skips the last-hit cache) must all agree with a
+	// map.
+	big := NewCounterSet()
+	want := map[string]int64{}
+	var first []string
+	for round := 0; round < 3; round++ {
+		for k := 0; k < 20; k++ {
+			name := fmt.Sprintf("L%d", (k*7)%20)
+			if round == 1 {
+				name = fmt.Sprintf("L%d", 19-k)
+			}
+			if _, seen := want[name]; !seen {
+				first = append(first, name)
+			}
+			big.Add(name, int64(k+1))
+			big.Add(name, 1) // a last-hit repeat
+			want[name] += int64(k + 2)
+		}
+	}
+	if got := big.Names(); !slices.Equal(got, first) {
+		t.Errorf("Names = %v, want first-use order %v", got, first)
+	}
+	var total int64
+	for name, v := range want {
+		if got := big.Get(name); got != v {
+			t.Errorf("Get(%q) = %d, want %d", name, got, v)
+		}
+		total += v
+	}
+	if big.Total() != total || big.Get("L20") != 0 {
+		t.Errorf("Total = %d (want %d), Get(absent) = %d", big.Total(), total, big.Get("L20"))
+	}
+
+	// Clone and Merge keep names, order and values.
+	c := big.Clone()
+	if c.String() != big.String() || !slices.Equal(c.Names(), big.Names()) {
+		t.Errorf("Clone = %v, want %v", c, big)
+	}
+	m := NewCounterSet()
+	m.Merge(big)
+	m.Merge(c)
+	for _, name := range first {
+		if m.Get(name) != 2*want[name] {
+			t.Errorf("Merge: %s = %d, want %d", name, m.Get(name), 2*want[name])
+		}
+	}
+	if !slices.Equal(m.Names(), first) {
+		t.Errorf("Merge order = %v, want %v", m.Names(), first)
 	}
 }
 

@@ -112,3 +112,47 @@ func TestTimelineInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkTimelineFullListReserve holds a full gap list steady the way a
+// secure drain's bus and engines see it: 9 in 16 reservations open a new
+// gap after the tail and evict, 6 are ready a little before the tail and
+// land in the last gaps (splits and shrinks) or after them, and 1 fills
+// one of the last 16 gaps exactly. New gaps are multiples of 1,300 units
+// so that the 5,000-unit reservations rarely fill one exactly; the list
+// is full after about 89% of the steps. It must report 0 allocs/op.
+func BenchmarkTimelineFullListReserve(b *testing.B) {
+	var tl timeline
+	x := uint64(1)
+	step := func() {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		r := Time(x >> 8)
+		switch x % 16 {
+		case 0, 1, 2, 3, 4, 5, 6, 7, 8:
+			tl.reserve(tl.tail+(1+r%8)*1300, 5000)
+		case 9, 10, 11, 12, 13, 14:
+			tl.reserve(max(tl.tail-(r%64)*1000, 0), 5000)
+		default:
+			if n := len(tl.gaps); n > 0 {
+				g := tl.gaps[n-1-int(r%16)%n]
+				tl.reserve(g.start, g.end-g.start)
+			}
+		}
+	}
+	full := 0
+	for i := 0; i < 10000; i++ {
+		step()
+		if len(tl.gaps) == maxGaps {
+			full++
+		}
+	}
+	if full < 8000 {
+		b.Fatalf("the list was full after %d of 10000 warm-up steps, want at least 8000", full)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
