@@ -7,6 +7,7 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // Ablations bundles the design-space studies DESIGN.md §5 calls out,
@@ -136,9 +137,9 @@ func ablateTreeProfile(ctx context.Context, cfg Config, opts SweepOptions) (*rep
 		names   []string
 		fetches []int64
 	}
-	results, err := runEpisodes(ctx, cfg, opts, []Episode{{
+	results, err := runEpisodes(ctx, cfg, opts, []sweep.Episode{{
 		Label: "tree-profile/Base-LU",
-		Run: func(ctx context.Context, env EpisodeEnv) (any, error) {
+		Run: func(ctx context.Context, env sweep.Env) (any, error) {
 			c := cfg
 			c.Probe = env.Probe
 			sys := NewSystem(c, BaseLU)
@@ -177,9 +178,9 @@ func ablateRecovery(ctx context.Context, cfg Config, opts SweepOptions) (*report
 	// A custom episode: serial and bank-parallel recovery must replay the
 	// same drained machine, so both run inside one episode.
 	type times struct{ serial, parallel sim.Time }
-	results, err := runEpisodes(ctx, cfg, opts, []Episode{{
+	results, err := runEpisodes(ctx, cfg, opts, []sweep.Episode{{
 		Label: "recovery-model/Horus-SLM",
-		Run: func(ctx context.Context, env EpisodeEnv) (any, error) {
+		Run: func(ctx context.Context, env sweep.Env) (any, error) {
 			c := cfg
 			c.Probe = env.Probe
 			sys := NewSystem(c, HorusSLM)

@@ -161,10 +161,7 @@ func main() {
 			}
 		}
 		if has("table2") || has("table3") {
-			t2 := horus.Table2{Set: subset(set, horus.Table2Schemes()), Breakdown: map[horus.Scheme]horus.EnergyBreakdown{}}
-			for _, s := range horus.Table2Schemes() {
-				t2.Breakdown[s] = cfg.EnergyOf(set.Results[s])
-			}
+			t2 := set.Table2()
 			var tabs []*report.Table
 			if has("table2") {
 				tabs = append(tabs, t2.Table())
@@ -187,13 +184,7 @@ func main() {
 		}
 		var tail []*report.Table
 		if has("headline") {
-			lu, slm := set.Results[horus.BaseLU], set.Results[horus.HorusSLM]
-			h := horus.Headline{
-				MemReduction:  float64(lu.TotalMemAccesses()) / float64(slm.TotalMemAccesses()),
-				MACReduction:  float64(lu.TotalMACs()) / float64(slm.TotalMACs()),
-				TimeReduction: float64(lu.DrainTime) / float64(slm.DrainTime),
-			}
-			tail = append(tail, h.Table())
+			tail = append(tail, set.Headline().Table())
 		}
 		if env.Metrics.Enabled() {
 			tail = append(tail, report.SpanTree(cfg.Metrics))

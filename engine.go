@@ -157,7 +157,7 @@ func runPointEpisode(ctx context.Context, pt DrainPoint, env sweep.Env) (pointVa
 
 // runEpisodes routes ad-hoc episodes (the ablation studies that need more
 // than the canonical drain body) through the same engine and options.
-func runEpisodes(ctx context.Context, cfg Config, opts SweepOptions, eps []Episode) ([]EpisodeResult, error) {
+func runEpisodes(ctx context.Context, cfg Config, opts SweepOptions, eps []sweep.Episode) ([]sweep.Result, error) {
 	runner := sweep.New(sweep.Options{
 		Parallel: opts.Parallel,
 		Timeout:  opts.Timeout,

@@ -463,7 +463,7 @@ func Table2Schemes() []Scheme { return []Scheme{BaseLU, BaseEU, HorusSLM, HorusD
 
 // Table2 reports draining energy per scheme.
 type Table2 struct {
-	Set       *DrainSet
+	Set       *DrainSet // the drain set the breakdown was computed from
 	Breakdown map[Scheme]energy.Breakdown
 }
 
@@ -478,11 +478,17 @@ func RunTable2Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Table2, e
 	if err != nil {
 		return Table2{}, err
 	}
+	return ds.Table2(), nil
+}
+
+// Table2 computes Table II's energy breakdown from a set that ran (at
+// least) Table2Schemes.
+func (ds *DrainSet) Table2() Table2 {
 	t2 := Table2{Set: ds, Breakdown: make(map[Scheme]energy.Breakdown)}
-	for _, s := range ds.Schemes {
-		t2.Breakdown[s] = cfg.EnergyOf(ds.Results[s])
+	for _, s := range Table2Schemes() {
+		t2.Breakdown[s] = ds.Config.EnergyOf(ds.mustResult(s))
 	}
-	return t2, nil
+	return t2
 }
 
 // Table renders Table II.
@@ -568,12 +574,18 @@ func RunHeadlineCtx(ctx context.Context, cfg Config, opts SweepOptions) (Headlin
 	if err != nil {
 		return Headline{}, err
 	}
-	lu, slm := ds.Results[BaseLU], ds.Results[HorusSLM]
+	return ds.Headline(), nil
+}
+
+// Headline computes the abstract's claims from a set that ran (at least)
+// Base-LU and Horus-SLM.
+func (ds *DrainSet) Headline() Headline {
+	lu, slm := ds.mustResult(BaseLU), ds.mustResult(HorusSLM)
 	return Headline{
 		MemReduction:  float64(lu.TotalMemAccesses()) / float64(slm.TotalMemAccesses()),
 		MACReduction:  float64(lu.TotalMACs()) / float64(slm.TotalMACs()),
 		TimeReduction: float64(lu.DrainTime) / float64(slm.DrainTime),
-	}, nil
+	}
 }
 
 // Table renders the headline comparison.

@@ -51,58 +51,18 @@ type MetricsRegistry = obs.Registry
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// Episode engine re-exports (from the internal sweep package). Experiment
-// grids (RunDrainSet, RunLLCSweep, the figure runners) route through this
-// engine; the generic forms below let API users run their own episode
-// grids with the same worker pool, cancellation, seeding and telemetry-merge
-// semantics. See DESIGN.md §8.
-type (
-	// SweepRunner executes episode grids on a bounded worker pool.
-	SweepRunner = sweep.Runner
-	// SweepRunnerOptions parameterises a SweepRunner (workers, timeout,
-	// base seed, the telemetry sinks episodes fork and merge into).
-	SweepRunnerOptions = sweep.Options
-	// Episode is one unit of work in a sweep.
-	Episode = sweep.Episode
-	// EpisodeEnv is the per-episode environment (index, derived seed,
-	// private fork of the telemetry sinks).
-	EpisodeEnv = sweep.Env
-	// EpisodeResult is one episode's outcome.
-	EpisodeResult = sweep.Result
-	// SweepError aggregates the per-episode failures of a grid; completed
-	// results are returned alongside it.
-	SweepError = sweep.Error
-	// EpisodePanicError wraps a panic captured inside an episode.
-	EpisodePanicError = sweep.PanicError
-)
-
-// NewSweepRunner returns the generic episode engine.
-func NewSweepRunner(opts SweepRunnerOptions) *SweepRunner { return sweep.New(opts) }
+// SweepError aggregates the per-episode failures of an experiment grid
+// (re-exported from the internal sweep package); completed results are
+// returned alongside it. See DESIGN.md §8.
+type SweepError = sweep.Error
 
 // DeriveSeed maps (base seed, episode index) to a stable, independent
-// per-episode seed (the engine's determinism primitive).
+// per-episode seed (the episode engine's determinism primitive).
 func DeriveSeed(base int64, index int) int64 { return sweep.DeriveSeed(base, index) }
 
-// Scheme identifies a draining design (re-exported from the core package).
+// Scheme identifies one of the paper's five draining designs (re-exported
+// from the core package).
 type Scheme = core.Scheme
-
-// DrainScheme is the pluggable behavior behind a Scheme handle; custom
-// designs register with RegisterScheme and participate in every experiment
-// grid like the built-ins.
-type DrainScheme = core.DrainScheme
-
-// RegisterScheme adds a draining design to the registry and returns its
-// Scheme handle. The factory runs once per drainer, so implementations may
-// keep per-episode state. Duplicate names panic.
-func RegisterScheme(name string, factory func() DrainScheme) Scheme {
-	return core.Register(name, factory)
-}
-
-// LookupScheme resolves a registered scheme by its name (e.g. "Horus-SLM").
-func LookupScheme(name string) (Scheme, error) { return core.Lookup(name) }
-
-// SchemeNames lists every registered scheme name in registration order.
-func SchemeNames() []string { return core.SchemeNames() }
 
 // The paper's five designs.
 const (
@@ -306,8 +266,7 @@ func NewSystem(cfg Config, scheme Scheme) *System {
 // over Warmup, Fill, Drain and Recover, given its hierarchy's line count.
 // The drain writes at most one block per line into the data region (in
 // place) or the CHV; the secure schemes add the metadata home blocks their
-// writes reach and the metadata-cache vault. Schemes registered beyond the
-// paper's five may write elsewhere; their stores still grow on demand.
+// writes reach and the metadata-cache vault.
 func drainFootprint(cfg Config, scheme Scheme, lay *bmt.Layout, lines uint64) int {
 	if !scheme.Secure() {
 		return int(lines) // data drained in place, no warm-up

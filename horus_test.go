@@ -2,6 +2,7 @@ package horus
 
 import (
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 
@@ -305,6 +306,31 @@ func TestHeadlineTestScale(t *testing.T) {
 	}
 	if out := h.Table().String(); !strings.Contains(out, "memory requests") {
 		t.Error("headline table missing rows")
+	}
+}
+
+// TestDrainSetTablesMatchRunners pins that the headline and Table II read
+// off one all-schemes drain set (as horus-experiments does) equal the
+// dedicated runners' results.
+func TestDrainSetTablesMatchRunners(t *testing.T) {
+	cfg := TestConfig()
+	set, err := RunDrainSet(cfg, AllSchemes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := RunHeadline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := set.Headline(); got != h {
+		t.Errorf("set.Headline() = %+v, RunHeadline = %+v", got, h)
+	}
+	t2, err := RunTable2(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := set.Table2(); !maps.Equal(got.Breakdown, t2.Breakdown) {
+		t.Errorf("set.Table2() = %+v, RunTable2 = %+v", got.Breakdown, t2.Breakdown)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package core implements the paper's primary contribution: draining the
 // cache hierarchy of an extended-persistence-domain (EPD) system to
-// non-volatile memory when a power outage is detected, under four schemes:
+// non-volatile memory when a power outage is detected, under the paper's
+// five designs:
 //
 //   - NonSecure: the reference EPD without memory security — each dirty
 //     line is written in place, nothing else (Fig. 8 part A).
@@ -35,15 +36,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Scheme selects a draining design: a handle into the registry of
-// DrainScheme implementations (see registry.go). Handles are small dense
-// ints assigned in registration order, so the built-in designs keep their
-// historical constant values.
+// Scheme selects one of the paper's five draining designs (§V-A). The set
+// is closed: each design's properties live in the static schemes table and
+// Drainer.Drain picks its drain path with a switch.
 type Scheme int
 
-// Draining schemes compared in the paper's evaluation (§V-A). Their
-// behavior lives in registered DrainScheme implementations; registration
-// order in registry.go pins these handles.
+// Draining schemes compared in the paper's evaluation (§V-A).
 const (
 	NonSecure Scheme = iota
 	BaseLU
@@ -52,40 +50,48 @@ const (
 	HorusDLM
 )
 
-// String returns the registered name for the scheme.
-func (s Scheme) String() string {
-	if impl, ok := implOf(s); ok {
-		return impl.Name()
-	}
-	return fmt.Sprintf("Scheme(%d)", int(s))
+// schemeInfo is one design's static description.
+type schemeInfo struct {
+	name    string
+	secure  bool                // provides memory security
+	usesCHV bool                // drains into (and recovers from) the CHV
+	update  secmem.UpdateScheme // integrity-tree update scheme at run time
 }
 
-// Secure reports whether the scheme provides memory security. Unregistered
-// handles report true (fail safe: an unknown design is assumed to need the
-// secure controller).
-func (s Scheme) Secure() bool {
-	if impl, ok := implOf(s); ok {
-		return impl.Secure()
-	}
-	return s != NonSecure
+// schemes describes the five designs, indexed by Scheme.
+var schemes = [...]schemeInfo{
+	NonSecure: {"NonSecure", false, false, secmem.LazyUpdate},
+	BaseLU:    {"Base-LU", true, false, secmem.LazyUpdate},
+	BaseEU:    {"Base-EU", true, false, secmem.EagerUpdate},
+	HorusSLM:  {"Horus-SLM", true, true, secmem.LazyUpdate},
+	HorusDLM:  {"Horus-DLM", true, true, secmem.LazyUpdate},
 }
+
+// known reports whether s is one of the five designs.
+func (s Scheme) known() bool { return s >= 0 && int(s) < len(schemes) }
+
+// info returns the design's table entry. An unknown handle fails safe: it
+// reports secure (it is assumed to need the secure controller), no CHV and
+// lazy update. NewDrainer rejects it.
+func (s Scheme) info() schemeInfo {
+	if s.known() {
+		return schemes[s]
+	}
+	return schemeInfo{name: fmt.Sprintf("Scheme(%d)", int(s)), secure: true, update: secmem.LazyUpdate}
+}
+
+// String returns the design's presentation name (e.g. "Horus-SLM").
+func (s Scheme) String() string { return s.info().name }
+
+// Secure reports whether the scheme provides memory security.
+func (s Scheme) Secure() bool { return s.info().secure }
 
 // UsesCHV reports whether the scheme drains into the cache hierarchy vault.
-func (s Scheme) UsesCHV() bool {
-	if impl, ok := implOf(s); ok {
-		return impl.UsesCHV()
-	}
-	return false
-}
+func (s Scheme) UsesCHV() bool { return s.info().usesCHV }
 
 // RuntimeScheme returns the integrity-tree update scheme the design runs at
 // run time (and, for the baselines, during draining).
-func (s Scheme) RuntimeScheme() secmem.UpdateScheme {
-	if impl, ok := implOf(s); ok {
-		return impl.RuntimeScheme()
-	}
-	return secmem.LazyUpdate
-}
+func (s Scheme) RuntimeScheme() secmem.UpdateScheme { return s.info().update }
 
 // AllSchemes lists every scheme in the paper's presentation order.
 func AllSchemes() []Scheme {
@@ -194,7 +200,6 @@ type System struct {
 // Drainer executes one draining episode for a given scheme.
 type Drainer struct {
 	scheme Scheme
-	impl   DrainScheme
 	sys    *System
 
 	// Horus on-chip resources (Fig. 9, Fig. 10, §IV-D).
@@ -269,19 +274,18 @@ func (s *drainSampling) sampleEnergy(t sim.Time, sys *System) {
 
 // NewDrainer returns a drainer for the scheme over the system. The initial
 // drain-counter value persists from previous episodes (pass 0 for a fresh
-// machine). The scheme must be registered (the five built-ins always are).
+// machine). The scheme must be one of the five designs.
 func NewDrainer(scheme Scheme, sys *System, initialDC uint64) *Drainer {
 	if sys.Layout == nil || sys.Enc == nil || sys.NVM == nil {
 		panic("core: incomplete system")
 	}
-	impl, ok := newImpl(scheme)
-	if !ok {
+	if !scheme.known() {
 		panic("core: unknown scheme " + scheme.String())
 	}
-	if impl.Secure() && sys.Sec == nil {
+	if scheme.Secure() && sys.Sec == nil {
 		panic("core: secure schemes need a secmem controller")
 	}
-	return &Drainer{scheme: scheme, impl: impl, sys: sys, dc: initialDC,
+	return &Drainer{scheme: scheme, sys: sys, dc: initialDC,
 		shards: resolveShards(sys.Shards)}
 }
 
@@ -307,7 +311,16 @@ func (d *Drainer) Drain(blocks []hierarchy.DirtyBlock) (Result, error) {
 	d.sys.Timeline.BeginEpisode(d.scheme.String())
 
 	d.sys.NVM.MarkStage("drain:blocks")
-	t, err := d.impl.Drain(d, blocks)
+	var t sim.Time
+	var err error
+	switch d.scheme {
+	case NonSecure:
+		t = d.drainInPlace(blocks)
+	case BaseLU, BaseEU:
+		t, err = d.drainBaseline(blocks)
+	case HorusSLM, HorusDLM:
+		t = d.drainCHV(blocks, d.scheme == HorusDLM)
+	}
 	if err != nil {
 		drainSpan.EndAt(int64(t))
 		return Result{}, err
@@ -317,7 +330,7 @@ func (d *Drainer) Drain(blocks []hierarchy.DirtyBlock) (Result, error) {
 	// Flush the security-metadata caches (negligible for all schemes per
 	// Fig. 12, but required for crash consistency).
 	var vault secmem.VaultRecord
-	if d.impl.Secure() {
+	if d.scheme.Secure() {
 		d.sys.NVM.MarkStage("drain:meta-flush")
 		metaSpan := reg.StartSpan("flush-metadata", int64(t))
 		var done sim.Time
@@ -403,10 +416,9 @@ func (d *Drainer) PersistSnapshot() PersistentState {
 	return ps
 }
 
-// DrainInPlace writes every dirty line in place with no protection
-// (Fig. 8 part A) — the NonSecure drain primitive, exported for registered
-// scheme variants to compose.
-func (d *Drainer) DrainInPlace(blocks []hierarchy.DirtyBlock) sim.Time {
+// drainInPlace writes every dirty line in place with no protection
+// (Fig. 8 part A): the NonSecure drain.
+func (d *Drainer) drainInPlace(blocks []hierarchy.DirtyBlock) sim.Time {
 	var t sim.Time
 	for _, b := range blocks {
 		done := d.sys.NVM.Write(0, b.Addr, b.Data, mem.CatData)
@@ -416,11 +428,11 @@ func (d *Drainer) DrainInPlace(blocks []hierarchy.DirtyBlock) sim.Time {
 	return t
 }
 
-// DrainBaseline pushes every dirty line through the run-time secure write
+// drainBaseline pushes every dirty line through the run-time secure write
 // path: counter fetch and verification walk, counter increment, tree update
 // (lazy or eager), data-MAC update, encrypt, write in place (Fig. 8 part B).
 // The update scheme (lazy/eager) is the secure controller's configured one.
-func (d *Drainer) DrainBaseline(blocks []hierarchy.DirtyBlock) (sim.Time, error) {
+func (d *Drainer) drainBaseline(blocks []hierarchy.DirtyBlock) (sim.Time, error) {
 	var t sim.Time
 	for _, b := range blocks {
 		done, err := d.sys.Sec.WriteBlock(0, b.Addr, b.Data)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -53,24 +54,93 @@ func fillWorstCase(h *hierarchy.Hierarchy, seed int64) []hierarchy.DirtyBlock {
 	return h.DirtyBlocksShuffled(rand.New(rand.NewSource(seed + 1)))
 }
 
+// TestSchemeProperties pins each design's table entry.
 func TestSchemeProperties(t *testing.T) {
-	if NonSecure.Secure() || !BaseLU.Secure() || !HorusDLM.Secure() {
-		t.Error("Secure() wrong")
+	want := []struct {
+		s       Scheme
+		name    string
+		secure  bool
+		usesCHV bool
+		update  secmem.UpdateScheme
+	}{
+		{NonSecure, "NonSecure", false, false, secmem.LazyUpdate},
+		{BaseLU, "Base-LU", true, false, secmem.LazyUpdate},
+		{BaseEU, "Base-EU", true, false, secmem.EagerUpdate},
+		{HorusSLM, "Horus-SLM", true, true, secmem.LazyUpdate},
+		{HorusDLM, "Horus-DLM", true, true, secmem.LazyUpdate},
 	}
-	if BaseLU.UsesCHV() || !HorusSLM.UsesCHV() || !HorusDLM.UsesCHV() {
-		t.Error("UsesCHV() wrong")
+	for _, w := range want {
+		if got := w.s.String(); got != w.name {
+			t.Errorf("Scheme(%d).String() = %q, want %q", int(w.s), got, w.name)
+		}
+		if got := w.s.Secure(); got != w.secure {
+			t.Errorf("%v.Secure() = %v, want %v", w.s, got, w.secure)
+		}
+		if got := w.s.UsesCHV(); got != w.usesCHV {
+			t.Errorf("%v.UsesCHV() = %v, want %v", w.s, got, w.usesCHV)
+		}
+		if got := w.s.RuntimeScheme(); got != w.update {
+			t.Errorf("%v.RuntimeScheme() = %v, want %v", w.s, got, w.update)
+		}
 	}
-	if BaseEU.RuntimeScheme() != secmem.EagerUpdate || BaseLU.RuntimeScheme() != secmem.LazyUpdate {
-		t.Error("RuntimeScheme() wrong")
+}
+
+// TestSchemeNamesOrder pins AllSchemes to the paper's five designs in
+// presentation order.
+func TestSchemeNamesOrder(t *testing.T) {
+	want := []string{"NonSecure", "Base-LU", "Base-EU", "Horus-SLM", "Horus-DLM"}
+	all := AllSchemes()
+	if len(all) != len(want) {
+		t.Fatalf("AllSchemes() = %v, want the paper's five designs", all)
 	}
-	if BaseLU.String() != "Base-LU" || HorusDLM.String() != "Horus-DLM" {
-		t.Error("names wrong")
+	for i, s := range all {
+		if s.String() != want[i] {
+			t.Errorf("AllSchemes()[%d] = %q, want %q", i, s.String(), want[i])
+		}
 	}
-	if Scheme(99).String() == "" {
-		t.Error("unknown scheme must still format")
+}
+
+// TestSchemeRegistryRoundTrip checks that the schemes table maps handle →
+// name → handle without loss: every design's name is unique and finds its
+// own handle again.
+func TestSchemeRegistryRoundTrip(t *testing.T) {
+	byName := make(map[string]Scheme)
+	for _, s := range AllSchemes() {
+		if !s.known() {
+			t.Errorf("%v is not a known design", s)
+		}
+		if prev, dup := byName[s.String()]; dup {
+			t.Errorf("%v and %v share the name %q", prev, s, s.String())
+		}
+		byName[s.String()] = s
 	}
-	if len(AllSchemes()) != 5 {
-		t.Error("AllSchemes must list the paper's five designs")
+	for _, s := range AllSchemes() {
+		if got := byName[s.String()]; got != s {
+			t.Errorf("name %q maps back to %v, want %v", s.String(), got, s)
+		}
+	}
+}
+
+// TestSchemeRegistryUnknownName checks the fail-safe answers for a handle
+// outside the five designs: a name that matches none of them, secure, no
+// CHV, lazy update.
+func TestSchemeRegistryUnknownName(t *testing.T) {
+	for _, s := range []Scheme{Scheme(-1), Scheme(len(AllSchemes())), Scheme(97)} {
+		if s.known() {
+			t.Errorf("%d reported as a known design", int(s))
+		}
+		if want := fmt.Sprintf("Scheme(%d)", int(s)); s.String() != want {
+			t.Errorf("Scheme(%d).String() = %q, want %q", int(s), s.String(), want)
+		}
+		for _, d := range AllSchemes() {
+			if s.String() == d.String() {
+				t.Errorf("Scheme(%d) shares the name %q with %v", int(s), s.String(), d)
+			}
+		}
+		if !s.Secure() || s.UsesCHV() || s.RuntimeScheme() != secmem.LazyUpdate {
+			t.Errorf("Scheme(%d) properties = (secure %v, chv %v, %v), want (true, false, lazy)",
+				int(s), s.Secure(), s.UsesCHV(), s.RuntimeScheme())
+		}
 	}
 }
 
@@ -319,6 +389,7 @@ func TestDrainerPanics(t *testing.T) {
 	sys, _ := buildSystem(t, HorusSLM)
 	for name, fn := range map[string]func(){
 		"incomplete system": func() { NewDrainer(NonSecure, &System{}, 0) },
+		"unknown scheme":    func() { NewDrainer(Scheme(97), sys, 0) },
 		"secure needs sec": func() {
 			NewDrainer(BaseLU, &System{Layout: sys.Layout, Enc: sys.Enc, NVM: sys.NVM}, 0)
 		},

@@ -17,8 +17,7 @@ import (
 // address, preserving pad uniqueness across run time and draining.
 const DrainPadDomain = uint64(1) << 63
 
-// DrainCHV drains the hierarchy into the CHV (Fig. 9) — the Horus drain
-// primitive, exported for registered scheme variants to compose. dlm
+// drainCHV drains the hierarchy into the CHV (Fig. 9): the Horus drain. dlm
 // selects the double-level MAC coalescing of Horus-DLM (Fig. 10):
 //
 //  1. each flushed block is encrypted with the drain counter (DC) as the
@@ -31,7 +30,7 @@ const DrainPadDomain = uint64(1) << 63
 //     64 drained blocks (Fig. 10);
 //  4. ciphertext, address and MAC blocks are written sequentially to the
 //     CHV — no run-time security metadata is read, verified or updated.
-func (d *Drainer) DrainCHV(blocks []hierarchy.DirtyBlock, dlm bool) sim.Time {
+func (d *Drainer) drainCHV(blocks []hierarchy.DirtyBlock, dlm bool) sim.Time {
 	lay := d.sys.Layout
 	if uint64(len(blocks)) > lay.CHVCapacity {
 		panic(fmt.Sprintf("core: %d blocks exceed CHV capacity %d", len(blocks), lay.CHVCapacity))

@@ -1,67 +1,17 @@
 package horus
 
 import (
-	"sync"
+	"maps"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/hierarchy"
-	"repro/internal/secmem"
-	"repro/internal/sim"
 )
 
-// revCHVScheme is a test-only drain design registered through the public
-// registry: it drains the dirty set into the CHV in reverse address order.
-// Recovery must be order-agnostic (the CHV records addresses alongside
-// content), so the round-trip contract below must hold for it exactly as
-// for the built-ins.
-type revCHVScheme struct{}
-
-func (revCHVScheme) Name() string                       { return "Test-RevCHV" }
-func (revCHVScheme) Secure() bool                       { return true }
-func (revCHVScheme) UsesCHV() bool                      { return true }
-func (revCHVScheme) RuntimeScheme() secmem.UpdateScheme { return secmem.LazyUpdate }
-func (revCHVScheme) Drain(d *core.Drainer, blocks []hierarchy.DirtyBlock) (sim.Time, error) {
-	rev := make([]hierarchy.DirtyBlock, len(blocks))
-	for i, b := range blocks {
-		rev[len(blocks)-1-i] = b
-	}
-	return d.DrainCHV(rev, false), nil
-}
-
-// registerRevCHV is shared by tests so -count=2 reruns don't hit the
-// duplicate-registration panic.
-var registerRevCHV = sync.OnceValue(func() Scheme {
-	return RegisterScheme("Test-RevCHV", func() DrainScheme { return revCHVScheme{} })
-})
-
-// TestSchemeRegistryRoundTripParity drives every registered scheme —
-// including the test-registered one — through the same lifecycle
-// (run workload → crash-drain → recover) and asserts each restores the
-// pre-crash contents through its own persistence path. The loop iterates
-// SchemeNames() so a scheme that registers but breaks the round-trip
-// cannot hide.
+// TestSchemeRegistryRoundTripParity drives every design in AllSchemes()
+// through the same lifecycle (run workload → crash-drain → recover) and
+// asserts each restores the pre-crash contents through its own persistence
+// path.
 func TestSchemeRegistryRoundTripParity(t *testing.T) {
-	registerRevCHV()
-
-	names := SchemeNames()
-	if len(names) < 6 {
-		t.Fatalf("registry lists %v, want the 5 built-ins plus Test-RevCHV", names)
-	}
-	seen := map[string]bool{}
-	for _, name := range names {
-		seen[name] = true
-	}
-	if !seen["Test-RevCHV"] {
-		t.Fatalf("registry %v is missing the test-registered scheme", names)
-	}
-
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			scheme, err := LookupScheme(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, scheme := range AllSchemes() {
+		t.Run(scheme.String(), func(t *testing.T) {
 			cfg := TestConfig()
 			ws := NewWorkloadSystem(cfg, scheme, DomainEPD)
 			w := UniformWorkload(WorkloadConfig{Ops: 150, WorkingSet: 4 << 10, Seed: 77, PersistPercent: 10})
@@ -122,24 +72,43 @@ func TestSchemeRegistryRoundTripParity(t *testing.T) {
 	}
 }
 
-// TestRegisteredSchemeInTortureMatrix proves the fault-injection harness
-// composes with registry extensions: the test scheme runs through a sampled
-// crash column with the same no-silent-corruption contract.
-func TestRegisteredSchemeInTortureMatrix(t *testing.T) {
-	scheme := registerRevCHV()
-	rep, err := RunTortureMatrix(t.Context(), TortureConfig{
-		Config:  TestConfig(),
-		Schemes: []Scheme{scheme},
-		Flavors: []CrashFlavor{CrashCleanCut, CrashBitFlip},
-		Stride:  5,
-	}, SweepOptions{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Cells) == 0 {
-		t.Fatal("no cells for the registered scheme")
-	}
-	for _, f := range rep.Failures() {
-		t.Errorf("contract violation at %s: %s — %s", f.Label(), f.Outcome, f.Detail)
+// TestShuffledFlushRecovery pins that CHV recovery is order-agnostic: the
+// CHV records each block's address alongside its content, so a drain in a
+// shuffled flush order must refill exactly the pre-crash hierarchy.
+func TestShuffledFlushRecovery(t *testing.T) {
+	for _, scheme := range []Scheme{HorusSLM, HorusDLM} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			// The first CHV address block records the first eight blocks
+			// flushed: it must differ between fill order and shuffled order,
+			// or the shuffled round trip below proves nothing.
+			var firstAddrs [2]Block
+			for i, shuffle := range []bool{false, true} {
+				cfg := TestConfig()
+				cfg.FlushShuffle = shuffle
+				sys := NewSystem(cfg, scheme)
+				if err := sys.Warmup(); err != nil {
+					t.Fatal(err)
+				}
+				sys.Fill()
+				golden := sys.Hierarchy.Golden()
+				res, err := sys.Drain()
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, _ := sys.Core.Layout.CHVAddrBlockAddrR(res.Persist.CHVRegion, 0)
+				firstAddrs[i] = sys.Core.NVM.PeekRead(a)
+				sys.Crash()
+				if _, err := sys.Recover(res.Persist); err != nil {
+					t.Fatalf("shuffle=%v: recover: %v", shuffle, err)
+				}
+				if got := sys.Hierarchy.Golden(); !maps.Equal(got, golden) {
+					t.Errorf("shuffle=%v: refilled hierarchy holds %d blocks, differs from the %d pre-crash blocks",
+						shuffle, len(got), len(golden))
+				}
+			}
+			if firstAddrs[0] == firstAddrs[1] {
+				t.Fatal("FlushShuffle did not change the drain order")
+			}
+		})
 	}
 }

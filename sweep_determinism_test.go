@@ -155,7 +155,7 @@ func TestSweepProbeDeterminism(t *testing.T) {
 }
 
 // TestSweepGridPartialResults exercises the no-first-error-abort policy at
-// the grid level: an unregistered scheme fails its own point only.
+// the grid level: an unknown scheme fails its own point only.
 func TestSweepGridPartialResults(t *testing.T) {
 	cfg := TestConfig()
 	bogus := Scheme(97)
