@@ -21,15 +21,9 @@ type Ablations struct {
 }
 
 // RunAblations executes the ablation suite at the given configuration
-// scale.
-func RunAblations(cfg Config) (Ablations, error) {
-	return RunAblationsCtx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunAblationsCtx executes the ablation suite through the episode engine:
-// each study is a declarative point grid (or custom episode set) sharing
-// ctx and the worker-pool options.
-func RunAblationsCtx(ctx context.Context, cfg Config, opts SweepOptions) (Ablations, error) {
+// scale through the episode engine: each study is a declarative point grid
+// (or custom episode set) sharing ctx and the worker-pool options.
+func RunAblations(ctx context.Context, cfg Config, opts SweepOptions) (Ablations, error) {
 	var a Ablations
 	var err error
 	if a.FillPattern, err = ablateFillPattern(ctx, cfg, opts); err != nil {
@@ -137,7 +131,7 @@ func ablateTreeProfile(ctx context.Context, cfg Config, opts SweepOptions) (*rep
 		names   []string
 		fetches []int64
 	}
-	results, err := runEpisodes(ctx, cfg, opts, []sweep.Episode{{
+	results, err := runEpisodes(ctx, cfg.Seed, cfg.Probe, opts, []sweep.Episode{{
 		Label: "tree-profile/Base-LU",
 		Run: func(ctx context.Context, env sweep.Env) (any, error) {
 			c := cfg
@@ -178,7 +172,7 @@ func ablateRecovery(ctx context.Context, cfg Config, opts SweepOptions) (*report
 	// A custom episode: serial and bank-parallel recovery must replay the
 	// same drained machine, so both run inside one episode.
 	type times struct{ serial, parallel sim.Time }
-	results, err := runEpisodes(ctx, cfg, opts, []sweep.Episode{{
+	results, err := runEpisodes(ctx, cfg.Seed, cfg.Probe, opts, []sweep.Episode{{
 		Label: "recovery-model/Horus-SLM",
 		Run: func(ctx context.Context, env sweep.Env) (any, error) {
 			c := cfg

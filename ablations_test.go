@@ -7,7 +7,7 @@ import (
 )
 
 func TestRunAblationsTestScale(t *testing.T) {
-	a, err := RunAblations(TestConfig())
+	a, err := RunAblations(context.Background(), TestConfig(), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package horus
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -186,13 +187,12 @@ func BenchmarkHeadline(b *testing.B) {
 	cfg := benchConfig()
 	var h Headline
 	for i := 0; i < b.N; i++ {
-		lu := drainOnce(b, cfg, BaseLU)
-		slm := drainOnce(b, cfg, HorusSLM)
-		h = Headline{
-			MemReduction:  float64(lu.TotalMemAccesses()) / float64(slm.TotalMemAccesses()),
-			MACReduction:  float64(lu.TotalMACs()) / float64(slm.TotalMACs()),
-			TimeReduction: float64(lu.DrainTime) / float64(slm.DrainTime),
+		// One worker: the two paper-scale drains run one after the other.
+		ds, err := RunDrainSet(context.Background(), cfg, []Scheme{BaseLU, HorusSLM}, SweepOptions{Parallel: 1})
+		if err != nil {
+			b.Fatal(err)
 		}
+		h = ds.Headline()
 	}
 	b.ReportMetric(h.MemReduction, "mem-reduction-x")
 	b.ReportMetric(h.MACReduction, "mac-reduction-x")

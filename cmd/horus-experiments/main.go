@@ -83,7 +83,7 @@ func main() {
 			has("table2") || has("table3") || has("headline") || tf.Enabled()
 		var set *horus.DrainSet
 		if needSet {
-			set, err = horus.RunDrainSetCtx(ctx, cfg, horus.AllSchemes(), opts)
+			set, err = horus.RunDrainSet(ctx, cfg, horus.AllSchemes(), opts)
 			if err != nil {
 				return cliutil.ExitFail, err
 			}
@@ -112,8 +112,7 @@ func main() {
 
 		var figs []*report.Table
 		if has("fig6") {
-			f := horus.Fig6{Blocks: set.Results[horus.NonSecure].BlocksDrained, Set: subset(set, horus.Fig6Schemes())}
-			figs = append(figs, f.Table())
+			figs = append(figs, set.Fig6().Table())
 		}
 		if has("fig11") {
 			figs = append(figs, horus.Fig11{Set: set}.Table())
@@ -132,7 +131,7 @@ func main() {
 			if testScale {
 				sizes = []int{4 << 20, 8 << 20}
 			}
-			sw, err := horus.RunLLCSweepCtx(ctx, cfg, sizes, horus.AllSchemes(), opts)
+			sw, err := horus.RunLLCSweep(ctx, cfg, sizes, horus.AllSchemes(), opts)
 			if err != nil {
 				return cliutil.ExitFail, err
 			}
@@ -152,7 +151,7 @@ func main() {
 			if testScale {
 				sizes = []int{4 << 20, 8 << 20}
 			}
-			f16, err := horus.RunFig16Ctx(ctx, cfg, sizes, opts)
+			f16, err := horus.RunFig16(ctx, cfg, sizes, opts)
 			if err != nil {
 				return cliutil.ExitFail, err
 			}
@@ -174,7 +173,7 @@ func main() {
 			}
 		}
 		if has("ablations") {
-			a, err := horus.RunAblationsCtx(ctx, cfg, opts)
+			a, err := horus.RunAblations(ctx, cfg, opts)
 			if err != nil {
 				return cliutil.ExitFail, err
 			}
@@ -208,13 +207,4 @@ func slug(s string) string {
 		}
 	}
 	return strings.Trim(strings.ReplaceAll(b.String(), "--", "-"), "-")
-}
-
-// subset narrows a drain set to the given schemes (they were all run).
-func subset(set *horus.DrainSet, schemes []horus.Scheme) *horus.DrainSet {
-	out := &horus.DrainSet{Config: set.Config, Schemes: schemes, Results: map[horus.Scheme]horus.Result{}}
-	for _, s := range schemes {
-		out.Results[s] = set.Results[s]
-	}
-	return out
 }

@@ -62,7 +62,7 @@ func main() {
 		if !*validate {
 			return cliutil.ExitOK, nil
 		}
-		vals, err := horus.ValidatePlansCtx(env.Context(), cfg, horus.AllSchemes(),
+		vals, err := horus.ValidatePlans(env.Context(), cfg, horus.AllSchemes(),
 			horus.SweepOptions{Parallel: *parallel, Timeout: *timeout})
 		if err != nil {
 			return cliutil.ExitFail, err

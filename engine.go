@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/probe"
 	"repro/internal/sweep"
 )
 
@@ -94,14 +95,7 @@ func RunDrainGrid(ctx context.Context, points []DrainPoint, opts SweepOptions) (
 		}}
 	}
 
-	runner := sweep.New(sweep.Options{
-		Parallel: opts.Parallel,
-		Timeout:  opts.Timeout,
-		BaseSeed: base.Seed,
-		Probe:    base.Probe,
-		Progress: opts.Progress,
-	})
-	results, err := runner.Run(ctx, eps)
+	results, err := runEpisodes(ctx, base.Seed, base.Probe, opts, eps)
 
 	out := make([]PointResult, len(points))
 	for i, r := range results {
@@ -155,14 +149,16 @@ func runPointEpisode(ctx context.Context, pt DrainPoint, env sweep.Env) (pointVa
 	return val, nil
 }
 
-// runEpisodes routes ad-hoc episodes (the ablation studies that need more
-// than the canonical drain body) through the same engine and options.
-func runEpisodes(ctx context.Context, cfg Config, opts SweepOptions, eps []sweep.Episode) ([]sweep.Result, error) {
+// runEpisodes runs episodes on the engine under opts: the one place every
+// runner (drain grids, ablations, torture, litmus, fleet) builds its worker
+// pool. seed is the base of the per-episode seeds; p is forked per episode
+// and merged back in episode order (the zero Probe records nothing).
+func runEpisodes(ctx context.Context, seed int64, p probe.Probe, opts SweepOptions, eps []sweep.Episode) ([]sweep.Result, error) {
 	runner := sweep.New(sweep.Options{
 		Parallel: opts.Parallel,
 		Timeout:  opts.Timeout,
-		BaseSeed: cfg.Seed,
-		Probe:    cfg.Probe,
+		BaseSeed: seed,
+		Probe:    p,
 		Progress: opts.Progress,
 	})
 	return runner.Run(ctx, eps)

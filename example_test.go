@@ -1,6 +1,7 @@
 package horus_test
 
 import (
+	"context"
 	"fmt"
 
 	horus "repro"
@@ -79,7 +80,8 @@ func ExampleNewWorkloadSystem() {
 
 // Comparing two schemes on the same configuration.
 func ExampleRunDrainSet() {
-	ds, err := horus.RunDrainSet(horus.TestConfig(), []horus.Scheme{horus.NonSecure, horus.BaseLU, horus.HorusSLM})
+	ds, err := horus.RunDrainSet(context.Background(), horus.TestConfig(),
+		[]horus.Scheme{horus.NonSecure, horus.BaseLU, horus.HorusSLM}, horus.SweepOptions{})
 	if err != nil {
 		panic(err)
 	}

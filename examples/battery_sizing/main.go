@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -20,7 +21,7 @@ func main() {
 	cfg := horus.TestConfig() // switch to horus.DefaultConfig() for Table I scale
 	schemes := horus.AllSchemes()
 
-	ds, err := horus.RunDrainSet(cfg, schemes)
+	ds, err := horus.RunDrainSet(context.Background(), cfg, schemes, horus.SweepOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,16 +32,12 @@ func (ds *DrainSet) mustResult(s Scheme) Result {
 }
 
 // RunDrainSet drains a fresh system per scheme (identical fill and flush
-// order, thanks to the shared seed) and collects the results.
-func RunDrainSet(cfg Config, schemes []Scheme) (*DrainSet, error) {
-	return RunDrainSetCtx(context.Background(), cfg, schemes, SweepOptions{})
-}
-
-// RunDrainSetCtx is RunDrainSet through the episode engine: the schemes
-// drain concurrently (opts.Parallel workers) under ctx. On failure the
-// returned set still holds every scheme that completed, alongside a
-// *SweepError describing the ones that did not.
-func RunDrainSetCtx(ctx context.Context, cfg Config, schemes []Scheme, opts SweepOptions) (*DrainSet, error) {
+// order, thanks to the shared seed) through the episode engine: the schemes
+// drain concurrently (opts.Parallel workers) under ctx. Figs. 6, 11, 12, 13,
+// Tables II, III and the headline are views of the returned set. On failure
+// the set still holds every scheme that completed, alongside a *SweepError
+// describing the ones that did not.
+func RunDrainSet(ctx context.Context, cfg Config, schemes []Scheme, opts SweepOptions) (*DrainSet, error) {
 	points := make([]DrainPoint, len(schemes))
 	for i, s := range schemes {
 		points[i] = DrainPoint{Label: s.String(), Config: cfg, Scheme: s}
@@ -78,18 +74,13 @@ type Fig6 struct {
 // Fig6Schemes are the designs Fig. 6 compares.
 func Fig6Schemes() []Scheme { return []Scheme{NonSecure, BaseEU, BaseLU} }
 
-// RunFig6 regenerates Fig. 6.
-func RunFig6(cfg Config) (Fig6, error) {
-	return RunFig6Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunFig6Ctx regenerates Fig. 6 through the episode engine.
-func RunFig6Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Fig6, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, Fig6Schemes(), opts)
-	if err != nil {
-		return Fig6{}, err
+// Fig6 narrows a set that ran (at least) Fig6Schemes to Fig. 6's designs.
+func (ds *DrainSet) Fig6() Fig6 {
+	sub := &DrainSet{Config: ds.Config, Schemes: Fig6Schemes(), Results: make(map[Scheme]Result)}
+	for _, s := range sub.Schemes {
+		sub.Results[s] = ds.mustResult(s)
 	}
-	return Fig6{Blocks: ds.Results[NonSecure].BlocksDrained, Set: ds}, nil
+	return Fig6{Blocks: sub.Results[NonSecure].BlocksDrained, Set: sub}
 }
 
 // Ratio returns a scheme's total memory requests normalized to NonSecure.
@@ -123,20 +114,6 @@ func (f Fig6) Table() *report.Table {
 // Fig11 reports the draining-time comparison across all five designs.
 type Fig11 struct {
 	Set *DrainSet
-}
-
-// RunFig11 regenerates Fig. 11.
-func RunFig11(cfg Config) (Fig11, error) {
-	return RunFig11Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunFig11Ctx regenerates Fig. 11 through the episode engine.
-func RunFig11Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Fig11, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, AllSchemes(), opts)
-	if err != nil {
-		return Fig11{}, err
-	}
-	return Fig11{Set: ds}, nil
 }
 
 // Normalized returns a scheme's draining time normalized to NonSecure.
@@ -174,20 +151,6 @@ type Fig12 struct {
 	Set *DrainSet
 }
 
-// RunFig12 regenerates Fig. 12.
-func RunFig12(cfg Config) (Fig12, error) {
-	return RunFig12Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunFig12Ctx regenerates Fig. 12 through the episode engine.
-func RunFig12Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Fig12, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, AllSchemes(), opts)
-	if err != nil {
-		return Fig12{}, err
-	}
-	return Fig12{Set: ds}, nil
-}
-
 // Table renders the figure: one column per write category.
 func (f Fig12) Table() *report.Table {
 	cats := collectCategories(f.Set, func(r Result) []string { return r.MemWrites.Names() })
@@ -214,20 +177,6 @@ func (f Fig12) Table() *report.Table {
 // Fig13 reports the MAC-calculation breakdown.
 type Fig13 struct {
 	Set *DrainSet
-}
-
-// RunFig13 regenerates Fig. 13.
-func RunFig13(cfg Config) (Fig13, error) {
-	return RunFig13Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunFig13Ctx regenerates Fig. 13 through the episode engine.
-func RunFig13Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Fig13, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, AllSchemes(), opts)
-	if err != nil {
-		return Fig13{}, err
-	}
-	return Fig13{Set: ds}, nil
 }
 
 // Table renders the figure.
@@ -283,15 +232,11 @@ type LLCSweep struct {
 // Fig14LLCSizes returns the paper's sweep sizes.
 func Fig14LLCSizes() []int { return []int{8 << 20, 16 << 20, 32 << 20} }
 
-// RunLLCSweep drains every scheme at each LLC size.
-func RunLLCSweep(cfg Config, llcSizes []int, schemes []Scheme) (*LLCSweep, error) {
-	return RunLLCSweepCtx(context.Background(), cfg, llcSizes, schemes, SweepOptions{})
-}
-
-// RunLLCSweepCtx is RunLLCSweep as a declarative (size × scheme) point grid
-// over the episode engine. On failure the returned sweep holds every point
-// that completed, alongside a *SweepError describing the ones that did not.
-func RunLLCSweepCtx(ctx context.Context, cfg Config, llcSizes []int, schemes []Scheme, opts SweepOptions) (*LLCSweep, error) {
+// RunLLCSweep drains every scheme at each LLC size: a declarative
+// (size × scheme) point grid over the episode engine. On failure the
+// returned sweep holds every point that completed, alongside a *SweepError
+// describing the ones that did not.
+func RunLLCSweep(ctx context.Context, cfg Config, llcSizes []int, schemes []Scheme, opts SweepOptions) (*LLCSweep, error) {
 	var points []DrainPoint
 	for _, size := range llcSizes {
 		c := cfg
@@ -397,15 +342,10 @@ type Fig16 struct {
 // Fig16LLCSizes returns the paper's sweep (8 MB to 128 MB).
 func Fig16LLCSizes() []int { return []int{8 << 20, 16 << 20, 32 << 20, 64 << 20, 128 << 20} }
 
-// RunFig16 drains and recovers Horus-SLM and Horus-DLM at each LLC size.
-func RunFig16(cfg Config, llcSizes []int) (Fig16, error) {
-	return RunFig16Ctx(context.Background(), cfg, llcSizes, SweepOptions{})
-}
-
-// RunFig16Ctx is RunFig16 as a (size × scheme) grid of drain + crash +
-// recover episodes over the engine. Completed points survive a sibling's
-// failure.
-func RunFig16Ctx(ctx context.Context, cfg Config, llcSizes []int, opts SweepOptions) (Fig16, error) {
+// RunFig16 drains and recovers Horus-SLM and Horus-DLM at each LLC size: a
+// (size × scheme) grid of drain + crash + recover episodes over the engine.
+// Completed points survive a sibling's failure.
+func RunFig16(ctx context.Context, cfg Config, llcSizes []int, opts SweepOptions) (Fig16, error) {
 	var points []DrainPoint
 	for _, size := range llcSizes {
 		c := cfg
@@ -467,20 +407,6 @@ type Table2 struct {
 	Breakdown map[Scheme]energy.Breakdown
 }
 
-// RunTable2 regenerates Table II.
-func RunTable2(cfg Config) (Table2, error) {
-	return RunTable2Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunTable2Ctx regenerates Table II through the episode engine.
-func RunTable2Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Table2, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, Table2Schemes(), opts)
-	if err != nil {
-		return Table2{}, err
-	}
-	return ds.Table2(), nil
-}
-
 // Table2 computes Table II's energy breakdown from a set that ran (at
 // least) Table2Schemes.
 func (ds *DrainSet) Table2() Table2 {
@@ -517,20 +443,6 @@ type Table3 struct {
 	T2 Table2
 }
 
-// RunTable3 regenerates Table III from a Table II run.
-func RunTable3(cfg Config) (Table3, error) {
-	return RunTable3Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunTable3Ctx regenerates Table III through the episode engine.
-func RunTable3Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Table3, error) {
-	t2, err := RunTable2Ctx(ctx, cfg, opts)
-	if err != nil {
-		return Table3{}, err
-	}
-	return Table3{T2: t2}, nil
-}
-
 // Volume returns the battery volume for a scheme and technology.
 func (t3 Table3) Volume(s Scheme, tech energy.Tech) float64 {
 	return energy.Volume(t3.T2.Breakdown[s].Total(), tech)
@@ -561,20 +473,6 @@ type Headline struct {
 	MemReduction  float64 // Base-LU accesses / Horus-SLM accesses (paper: ~8x)
 	MACReduction  float64 // Base-LU MACs / Horus-SLM MACs (paper: ~7.8x)
 	TimeReduction float64 // Base-LU drain time / Horus-SLM drain time (paper: ~5x)
-}
-
-// RunHeadline computes the abstract's three claims.
-func RunHeadline(cfg Config) (Headline, error) {
-	return RunHeadlineCtx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunHeadlineCtx computes the abstract's claims through the episode engine.
-func RunHeadlineCtx(ctx context.Context, cfg Config, opts SweepOptions) (Headline, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, []Scheme{BaseLU, HorusSLM}, opts)
-	if err != nil {
-		return Headline{}, err
-	}
-	return ds.Headline(), nil
 }
 
 // Headline computes the abstract's claims from a set that ran (at least)

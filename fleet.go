@@ -201,7 +201,7 @@ func measureMachine(fc FleetConfig, spec cluster.MachineSpec, sessions int) (m F
 		return m
 	}
 
-	blocks := ws.Machine.DirtyBlocks()
+	blocks := flushOrder(cfg, ws.Machine.DirtyBlocks())
 	m.Blocks = len(blocks)
 	res, err := ws.drainer.Drain(blocks)
 	if err != nil {
@@ -291,11 +291,7 @@ func RunFleet(ctx context.Context, fc FleetConfig, opts SweepOptions) (*FleetRep
 			},
 		}
 	}
-	runner := sweep.New(sweep.Options{
-		Parallel: opts.Parallel, Timeout: opts.Timeout,
-		BaseSeed: fc.Base.Seed, Progress: opts.Progress,
-	})
-	results, err := runner.Run(ctx, episodes)
+	results, err := runEpisodes(ctx, fc.Base.Seed, probe.Probe{}, opts, episodes)
 	if err != nil {
 		return nil, err
 	}

@@ -18,14 +18,17 @@
 //	...
 //	rec, err := sys.Recover(res.Persist)  // power restore: verified recovery
 //
-// The experiment runners (RunFig6 ... RunTable3) regenerate every figure
-// and table of the paper's evaluation; see EXPERIMENTS.md for measured
-// results against the published ones.
+// RunDrainSet drains every design once; Figs. 6, 11, 12, 13, Tables II,
+// III and the headline are views of that one set (DrainSet.Fig6, Fig11,
+// Fig12, Fig13, DrainSet.Table2, Table3, DrainSet.Headline). RunLLCSweep
+// (Figs. 14, 15), RunFig16 and RunAblations run the other studies; see
+// EXPERIMENTS.md for measured results against the published ones.
 package horus
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/bmt"
 	"repro/internal/cme"
@@ -104,12 +107,9 @@ type Config struct {
 	// memory (>= 16 KB apart; the spacing is derived by dividing the
 	// memory size by the cache-hierarchy capacity, §V-A).
 	FillPattern hierarchy.FillPattern
-	// FillStride is the stride for hierarchy.PatternStride fills. Zero
-	// selects the paper's derivation: DataSize / total cache lines,
-	// floored to a 64-byte multiple.
-	FillStride uint64
 	// FlushShuffle drains the dirty blocks in a pseudo-random order instead
-	// of fill order. The paper flushes its >= 16 KB-strided fill as laid
+	// of fill order, on every drain path (System, WorkloadSystem and the
+	// crash oracles). The paper flushes its >= 16 KB-strided fill as laid
 	// out; shuffling removes even the residual tree-node adjacency between
 	// consecutive flushes and is kept as a harsher ablation.
 	FlushShuffle bool
@@ -324,14 +324,11 @@ func (s *System) Warmup() error {
 // Fill populates every line of every hierarchy level with dirty blocks
 // according to the configured pattern and returns the block count.
 func (s *System) Fill() int {
-	stride := s.Config.FillStride
-	if s.Config.FillPattern == hierarchy.PatternStride && stride == 0 {
+	var stride uint64
+	if s.Config.FillPattern == hierarchy.PatternStride {
 		// Paper §V-A: spacing = memory size / cache-hierarchy capacity.
 		lines := uint64(s.Hierarchy.Config().TotalLines())
-		stride = s.Config.DataSize / lines / mem.BlockSize * mem.BlockSize
-		if stride < mem.BlockSize {
-			stride = mem.BlockSize
-		}
+		stride = max(s.Config.DataSize/lines/mem.BlockSize*mem.BlockSize, mem.BlockSize)
 	}
 	n := s.Hierarchy.FillAllDirty(hierarchy.FillOptions{
 		Pattern:  s.Config.FillPattern,
@@ -343,18 +340,29 @@ func (s *System) Fill() int {
 	return n
 }
 
-// Drain simulates the outage: flushes the hierarchy's dirty blocks (in a
-// shuffled worst-case order) and the metadata caches, returning the
+// Drain simulates the outage: flushes the hierarchy's dirty blocks (in
+// flushOrder) and the metadata caches, returning the
 // episode's metrics and persistent state.
 func (s *System) Drain() (Result, error) {
 	if !s.filled {
 		return Result{}, fmt.Errorf("horus: Drain before Fill")
 	}
-	blocks := s.Hierarchy.DirtyBlocks()
-	if s.Config.FlushShuffle {
-		blocks = s.Hierarchy.DirtyBlocksShuffled(rand.New(rand.NewSource(s.Config.Seed ^ 0x0f1a)))
+	return s.drainer.Drain(flushOrder(s.Config, s.Hierarchy.DirtyBlocks()))
+}
+
+// flushOrder decides the order a drain flushes the dirty blocks in, for
+// every drain path (System, WorkloadSystem and the crash oracles). Without
+// cfg.FlushShuffle it is fill order: blocks itself, not copied. With it, a
+// pseudo-random permutation seeded from cfg.Seed, in a copy that leaves
+// blocks untouched (§V-A: "randomly filled with sparse contents").
+func flushOrder(cfg Config, blocks []DirtyBlock) []DirtyBlock {
+	if !cfg.FlushShuffle {
+		return blocks
 	}
-	return s.drainer.Drain(blocks)
+	out := slices.Clone(blocks)
+	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x0f1a))
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
 }
 
 // Crash models the loss of power after a drain: cache hierarchy and

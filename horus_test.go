@@ -1,8 +1,9 @@
 package horus
 
 import (
+	"context"
 	"errors"
-	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,12 +154,20 @@ func TestNonSecureRecoveryIsNoOp(t *testing.T) {
 	_ = res
 }
 
-func TestShapeAtTestScale(t *testing.T) {
-	// The paper's qualitative ordering must hold even at test scale.
-	ds, err := RunDrainSet(TestConfig(), AllSchemes())
+// testDrainSet drains every scheme once at test scale: the one set the
+// paper's figures and tables are views of.
+func testDrainSet(t *testing.T) *DrainSet {
+	t.Helper()
+	ds, err := RunDrainSet(context.Background(), TestConfig(), AllSchemes(), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ds
+}
+
+func TestShapeAtTestScale(t *testing.T) {
+	// The paper's qualitative ordering must hold even at test scale.
+	ds := testDrainSet(t)
 	ns, lu, eu := ds.Results[NonSecure], ds.Results[BaseLU], ds.Results[BaseEU]
 	slm, dlm := ds.Results[HorusSLM], ds.Results[HorusDLM]
 
@@ -181,10 +190,11 @@ func TestShapeAtTestScale(t *testing.T) {
 }
 
 func TestExperimentTablesRender(t *testing.T) {
-	cfg := TestConfig()
-	f6, err := RunFig6(cfg)
-	if err != nil {
-		t.Fatal(err)
+	ds := testDrainSet(t)
+	f6 := ds.Fig6()
+	if !slices.Equal(f6.Set.Schemes, Fig6Schemes()) || f6.Blocks != ds.Results[NonSecure].BlocksDrained {
+		t.Errorf("Fig6 view: schemes %v, %d blocks; want %v, %d", f6.Set.Schemes, f6.Blocks,
+			Fig6Schemes(), ds.Results[NonSecure].BlocksDrained)
 	}
 	if out := f6.Table().String(); !strings.Contains(out, "Base-LU") {
 		t.Error("Fig6 table missing rows")
@@ -193,10 +203,7 @@ func TestExperimentTablesRender(t *testing.T) {
 		t.Error("Fig6 ratios inverted")
 	}
 
-	f11, err := RunFig11(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f11 := Fig11{Set: ds}
 	if f11.VsHorus(BaseLU) <= 1 {
 		t.Error("Fig11: Base-LU must be slower than Horus")
 	}
@@ -207,19 +214,10 @@ func TestExperimentTablesRender(t *testing.T) {
 	}
 	_ = f11.Table().String()
 
-	f12, err := RunFig12(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := f12.Table().String(); !strings.Contains(out, "chv-data") {
+	if out := (Fig12{Set: ds}).Table().String(); !strings.Contains(out, "chv-data") {
 		t.Error("Fig12 table missing CHV category")
 	}
-
-	f13, err := RunFig13(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := f13.Table().String(); !strings.Contains(out, "chv-data-mac") {
+	if out := (Fig13{Set: ds}).Table().String(); !strings.Contains(out, "chv-data-mac") {
 		t.Error("Fig13 table missing CHV MAC category")
 	}
 }
@@ -256,7 +254,7 @@ func TestLLCSweepAndFig16TestScale(t *testing.T) {
 	_ = sweep.Fig14Table().String()
 	_ = sweep.Fig15Table().String()
 
-	f16, err := RunFig16(cfg, nil)
+	f16, err := RunFig16(context.Background(), cfg, nil, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +272,7 @@ func TestFig16DefaultSizes(t *testing.T) {
 }
 
 func TestTables2And3TestScale(t *testing.T) {
-	cfg := TestConfig()
-	t3, err := RunTable3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t3 := Table3{T2: testDrainSet(t).Table2()}
 	// Energy ordering: baselines cost more than Horus.
 	if t3.T2.Breakdown[BaseLU].Total() <= t3.T2.Breakdown[HorusSLM].Total() {
 		t.Error("Base-LU energy must exceed Horus-SLM")
@@ -297,40 +291,12 @@ func TestTables2And3TestScale(t *testing.T) {
 }
 
 func TestHeadlineTestScale(t *testing.T) {
-	h, err := RunHeadline(TestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := testDrainSet(t).Headline()
 	if h.MemReduction < 3 || h.MACReduction < 3 || h.TimeReduction < 2 {
 		t.Errorf("headline reductions too small: %+v", h)
 	}
 	if out := h.Table().String(); !strings.Contains(out, "memory requests") {
 		t.Error("headline table missing rows")
-	}
-}
-
-// TestDrainSetTablesMatchRunners pins that the headline and Table II read
-// off one all-schemes drain set (as horus-experiments does) equal the
-// dedicated runners' results.
-func TestDrainSetTablesMatchRunners(t *testing.T) {
-	cfg := TestConfig()
-	set, err := RunDrainSet(cfg, AllSchemes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := RunHeadline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := set.Headline(); got != h {
-		t.Errorf("set.Headline() = %+v, RunHeadline = %+v", got, h)
-	}
-	t2, err := RunTable2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := set.Table2(); !maps.Equal(got.Breakdown, t2.Breakdown) {
-		t.Errorf("set.Table2() = %+v, RunTable2 = %+v", got.Breakdown, t2.Breakdown)
 	}
 }
 

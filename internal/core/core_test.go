@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bmt"
@@ -51,7 +52,10 @@ func fillWorstCase(h *hierarchy.Hierarchy, seed int64) []hierarchy.DirtyBlock {
 		DataSize: 256 << 20,
 		Seed:     seed,
 	})
-	return h.DirtyBlocksShuffled(rand.New(rand.NewSource(seed + 1)))
+	blocks := slices.Clone(h.DirtyBlocks())
+	rng := rand.New(rand.NewSource(seed + 1))
+	rng.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
+	return blocks
 }
 
 // TestSchemeProperties pins each design's table entry.

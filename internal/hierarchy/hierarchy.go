@@ -152,16 +152,6 @@ func (h *Hierarchy) DirtyBlocks() []DirtyBlock {
 	return h.blocks[:n:n]
 }
 
-// DirtyBlocksShuffled returns a copy of the dirty blocks in a pseudo-random
-// flush order, leaving the insertion order intact. The worst-case drain
-// flushes lines with no useful ordering (§V-A: "randomly filled with sparse
-// contents").
-func (h *Hierarchy) DirtyBlocksShuffled(rng *rand.Rand) []DirtyBlock {
-	out := append([]DirtyBlock(nil), h.blocks...)
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
 // Golden returns a copy of the dirty contents keyed by address. It remains
 // for the host-cost benchmark's recovery checks; harnesses use DirtyBlocks.
 func (h *Hierarchy) Golden() map[uint64]mem.Block {

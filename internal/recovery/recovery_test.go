@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bmt"
@@ -54,7 +55,9 @@ func drainAndCrash(t *testing.T, sys *core.System, h *hierarchy.Hierarchy, schem
 		Seed:     seed,
 	})
 	golden := h.Golden()
-	blocks := h.DirtyBlocksShuffled(rand.New(rand.NewSource(seed + 1)))
+	blocks := slices.Clone(h.DirtyBlocks())
+	rng := rand.New(rand.NewSource(seed + 1))
+	rng.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
 	d := core.NewDrainer(scheme, sys, 0)
 	res, err := d.Drain(blocks)
 	if err != nil {

@@ -342,7 +342,7 @@ func recordLitmusEpisode(cfg Config, scheme Scheme, w *Workload) (*litmusEpisode
 	ep := &litmusEpisode{
 		scheme: scheme,
 		lay:    ws.Core.Layout,
-		blocks: ws.Machine.DirtyBlocks(),
+		blocks: flushOrder(cfg, ws.Machine.DirtyBlocks()),
 		pre:    ws.Core.NVM.Store().Snapshot(),
 	}
 	ep.index = drainIndex(ep.blocks)
@@ -725,8 +725,7 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 		})
 	}
 
-	runner := sweep.New(sweep.Options{Parallel: opts.Parallel, Timeout: opts.Timeout, BaseSeed: cfg.Seed, Progress: opts.Progress})
-	results, err := runner.Run(ctx, eps)
+	results, err := runEpisodes(ctx, cfg.Seed, probe.Probe{}, opts, eps)
 	if err != nil {
 		return nil, err
 	}

@@ -102,15 +102,10 @@ type PlanValidation struct {
 }
 
 // ValidatePlans simulates a draining episode per scheme and compares it to
-// PlanBattery's closed-form estimate.
-func ValidatePlans(cfg Config, schemes []Scheme) ([]PlanValidation, error) {
-	return ValidatePlansCtx(context.Background(), cfg, schemes, SweepOptions{})
-}
-
-// ValidatePlansCtx is ValidatePlans through the episode engine: one grid
-// point per scheme, run on the engine's worker pool. On failure it returns
-// the validations that completed alongside the aggregate error.
-func ValidatePlansCtx(ctx context.Context, cfg Config, schemes []Scheme, opts SweepOptions) ([]PlanValidation, error) {
+// PlanBattery's closed-form estimate: one grid point per scheme, run on the
+// engine's worker pool. On failure it returns the validations that
+// completed alongside the aggregate error.
+func ValidatePlans(ctx context.Context, cfg Config, schemes []Scheme, opts SweepOptions) ([]PlanValidation, error) {
 	points := make([]DrainPoint, len(schemes))
 	for i, s := range schemes {
 		points[i] = DrainPoint{Label: "validate/" + s.String(), Config: cfg, Scheme: s}

@@ -99,7 +99,7 @@ func (ws *WorkloadSystem) Stats() RunStats { return ws.Machine.Stats() }
 // image for verifying recovery: every cached line, by ascending address.
 func (ws *WorkloadSystem) CrashAndDrain() (Result, []DirtyBlock, error) {
 	image := ws.Machine.Image()
-	blocks := ws.Machine.DirtyBlocks()
+	blocks := flushOrder(ws.Config, ws.Machine.DirtyBlocks())
 	res, err := ws.drainer.Drain(blocks)
 	if err != nil {
 		return Result{}, nil, err

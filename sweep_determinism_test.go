@@ -14,10 +14,11 @@ func renderFig6(t testing.TB, workers int) (string, string) {
 	t.Helper()
 	cfg := TestConfig()
 	cfg.Metrics = NewMetricsRegistry()
-	f6, err := RunFig6Ctx(context.Background(), cfg, SweepOptions{Parallel: workers})
+	ds, err := RunDrainSet(context.Background(), cfg, Fig6Schemes(), SweepOptions{Parallel: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f6 := ds.Fig6()
 	var b strings.Builder
 	if err := cfg.Metrics.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -34,7 +35,7 @@ func renderLLCSweep(t testing.TB, workers int) (string, string) {
 	// Small LLC points keep the grid fast enough for the -race CI step while
 	// still interleaving sizes and schemes across workers.
 	sizes := []int{1 << 20, 2 << 20}
-	sw, err := RunLLCSweepCtx(context.Background(), cfg, sizes,
+	sw, err := RunLLCSweep(context.Background(), cfg, sizes,
 		[]Scheme{BaseLU, HorusSLM, HorusDLM}, SweepOptions{Parallel: workers})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +194,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunLLCSweepCtx(context.Background(), cfg, sizes, AllSchemes(),
+				if _, err := RunLLCSweep(context.Background(), cfg, sizes, AllSchemes(),
 					SweepOptions{Parallel: workers}); err != nil {
 					b.Fatal(err)
 				}

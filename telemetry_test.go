@@ -14,7 +14,7 @@ func renderDrainSetTS(t testing.TB, workers int) (string, string, *DrainSet) {
 	t.Helper()
 	cfg := TestConfig()
 	cfg.Timeseries = NewTimeseriesSampler(0, 0)
-	ds, err := RunDrainSetCtx(context.Background(), cfg, AllSchemes(), SweepOptions{Parallel: workers})
+	ds, err := RunDrainSet(context.Background(), cfg, AllSchemes(), SweepOptions{Parallel: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestTimeseriesDeterminism(t *testing.T) {
 // participates in it.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	cfg := TestConfig()
-	plain, err := RunDrainSetCtx(context.Background(), cfg, AllSchemes(), SweepOptions{Parallel: 4})
+	plain, err := RunDrainSet(context.Background(), cfg, AllSchemes(), SweepOptions{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestTortureSLOOverMatrix(t *testing.T) {
 func TestSweepProgressThroughEngine(t *testing.T) {
 	cfg := TestConfig()
 	var events []SweepProgress
-	_, err := RunDrainSetCtx(context.Background(), cfg, AllSchemes(), SweepOptions{
+	_, err := RunDrainSet(context.Background(), cfg, AllSchemes(), SweepOptions{
 		Parallel: 3,
 		Progress: func(ev SweepProgress) { events = append(events, ev) },
 	})

@@ -103,7 +103,7 @@ func TestTimelineAttributionParallelDeterminism(t *testing.T) {
 	render := func(parallel int) string {
 		cfg := TestConfig()
 		cfg.Timeline = NewTimelineRecorder(0)
-		set, err := RunDrainSetCtx(context.Background(), cfg, AllSchemes(),
+		set, err := RunDrainSet(context.Background(), cfg, AllSchemes(),
 			SweepOptions{Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
@@ -170,7 +170,7 @@ func TestSweepPublishesCriticalPathCounters(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Metrics = NewMetricsRegistry()
 	cfg.Timeline = NewTimelineRecorder(0)
-	if _, err := RunDrainSetCtx(context.Background(), cfg, []Scheme{HorusSLM}, SweepOptions{}); err != nil {
+	if _, err := RunDrainSet(context.Background(), cfg, []Scheme{HorusSLM}, SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder

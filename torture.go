@@ -269,8 +269,7 @@ func RunTortureMatrix(ctx context.Context, tc TortureConfig, opts SweepOptions) 
 		}
 	}
 
-	runner := sweep.New(sweep.Options{Parallel: opts.Parallel, Timeout: opts.Timeout, BaseSeed: cfg.Seed, Progress: opts.Progress})
-	results, err := runner.Run(ctx, episodes)
+	results, err := runEpisodes(ctx, cfg.Seed, probe.Probe{}, opts, episodes)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +316,7 @@ func countDrainSteps(cfg Config, scheme Scheme, w *Workload) (int, error) {
 	}
 	inj := faultinject.NewInjector(faultinject.CrashPlan{Step: -1})
 	ws.Core.NVM.SetFaultInjector(inj)
-	if _, err := ws.drainer.Drain(ws.Machine.DirtyBlocks()); err != nil {
+	if _, err := ws.drainer.Drain(flushOrder(cfg, ws.Machine.DirtyBlocks())); err != nil {
 		return 0, err
 	}
 	return inj.Steps(), nil
@@ -342,7 +341,7 @@ func runTortureCell(cfg Config, scheme Scheme, w *Workload, plan faultinject.Cra
 		cell.Detail = fmt.Sprintf("workload: %v", err)
 		return cell
 	}
-	blocks := ws.Machine.DirtyBlocks()
+	blocks := flushOrder(cfg, ws.Machine.DirtyBlocks())
 
 	inj := faultinject.NewInjector(plan)
 	var atCut *PersistentState
