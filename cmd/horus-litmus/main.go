@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	horus "repro"
 	"repro/internal/cliutil"
@@ -52,30 +51,18 @@ func main() {
 	)
 	cliutil.Main("horus-litmus", true, func(env *cliutil.Env) (int, error) {
 		ctx := env.Context()
-		base, err := cliutil.ParseScale(*scaleFlag)
+		cfg, schemes, err := env.OracleConfig(*scaleFlag, *seed, *schemeFlag)
 		if err != nil {
 			return cliutil.ExitFail, err
 		}
-		base.Seed = *seed
-		cfg, err := env.Config(base)
-		if err != nil {
-			return cliutil.ExitFail, err
-		}
-		// The no-silent-reordering SLO always runs; it needs the recorded
-		// outcome series even without -ts or -serve.
-		env.RequireTimeseries(&cfg)
 
 		lc := horus.LitmusConfig{
 			Config:           cfg,
+			Schemes:          schemes,
 			MaxOrderings:     *maxOrd,
 			ExhaustiveWrites: *exhaustive,
 			MaxEpochs:        *epochs,
 			CorruptTrials:    *trials,
-		}
-		if !strings.EqualFold(*schemeFlag, "secure") {
-			if lc.Schemes, err = cliutil.ParseSchemes(*schemeFlag); err != nil {
-				return cliutil.ExitFail, err
-			}
 		}
 		lc.Corrupt, err = horus.ParseCorruptionModels(*corrupt)
 		if err != nil {
@@ -122,22 +109,8 @@ func main() {
 			}
 			fmt.Printf("coverage cells: %d rows to %s\n", len(rep.Coverage), *covCSV)
 		}
-		if err := env.WriteMetrics("metrics:"); err != nil {
-			return cliutil.ExitFail, err
-		}
 
-		// The silent-corruption SLO over the recorded per-ordering series:
-		// stricter than rep.Ok() alone, it also fails a run that recorded no data.
-		slo := horus.EvaluateSLO(horus.LitmusSLORules(), cfg.Timeseries.Snapshot())
-		if !slo.Ok() {
-			fmt.Println()
-			slo.Table().Fprint(os.Stdout)
-		}
-		if err := env.Finish(); err != nil {
-			return cliutil.ExitFail, err
-		}
-
-		if !rep.Ok() || !slo.Ok() {
+		return env.OracleExit(cfg, horus.LitmusSLORules(), rep.Ok(), func() {
 			fmt.Fprintf(os.Stderr, "horus-litmus: %d contract violations across %d ordering and %d coverage cells\n",
 				len(rep.Failures()), len(rep.Cells), len(rep.Coverage))
 			if w := rep.Witness; w != nil {
@@ -147,9 +120,6 @@ func main() {
 					fmt.Fprintf(os.Stderr, "  %s\n", line)
 				}
 			}
-			return cliutil.ExitFail, nil
-		}
-		fmt.Printf("ok: %d orderings and %d coverage cells, zero silent corruption\n", len(rep.Cells), len(rep.Coverage))
-		return cliutil.ExitOK, nil
+		}, fmt.Sprintf("ok: %d orderings and %d coverage cells, zero silent corruption", len(rep.Cells), len(rep.Coverage)))
 	})
 }

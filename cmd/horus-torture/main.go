@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	horus "repro"
 	"repro/internal/cliutil"
@@ -41,28 +40,16 @@ func main() {
 	)
 	cliutil.Main("horus-torture", true, func(env *cliutil.Env) (int, error) {
 		ctx := env.Context()
-		base, err := cliutil.ParseScale(*scaleFlag)
+		cfg, schemes, err := env.OracleConfig(*scaleFlag, *seed, *schemeFlag)
 		if err != nil {
 			return cliutil.ExitFail, err
 		}
-		base.Seed = *seed
-		cfg, err := env.Config(base)
-		if err != nil {
-			return cliutil.ExitFail, err
-		}
-		// The no-silent-corruption SLO always runs; it needs the recorded
-		// outcome series even without -ts or -serve.
-		env.RequireTimeseries(&cfg)
 
 		tc := horus.TortureConfig{
 			Config:    cfg,
+			Schemes:   schemes,
 			Stride:    *stride,
 			MaxPoints: *maxPoints,
-		}
-		if !strings.EqualFold(*schemeFlag, "secure") {
-			if tc.Schemes, err = cliutil.ParseSchemes(*schemeFlag); err != nil {
-				return cliutil.ExitFail, err
-			}
 		}
 		tc.Flavors, err = horus.ParseCrashFlavors(*flavorFlag)
 		if err != nil {
@@ -99,27 +86,10 @@ func main() {
 			}
 			fmt.Printf("cell table: %d rows to %s\n", len(rep.Cells), *csvPath)
 		}
-		if err := env.WriteMetrics("metrics:"); err != nil {
-			return cliutil.ExitFail, err
-		}
 
-		// The silent-corruption SLO over the recorded outcome series: stricter
-		// than rep.Ok() alone, it also fails a matrix that recorded no data.
-		slo := horus.EvaluateSLO(horus.TortureSLORules(), cfg.Timeseries.Snapshot())
-		if !slo.Ok() {
-			fmt.Println()
-			slo.Table().Fprint(os.Stdout)
-		}
-		if err := env.Finish(); err != nil {
-			return cliutil.ExitFail, err
-		}
-
-		if !rep.Ok() || !slo.Ok() {
+		return env.OracleExit(cfg, horus.TortureSLORules(), rep.Ok(), func() {
 			fmt.Fprintf(os.Stderr, "horus-torture: %d of %d cells violated the recovery contract\n",
 				len(rep.Failures()), len(rep.Cells))
-			return cliutil.ExitFail, nil
-		}
-		fmt.Printf("ok: %d cells, zero silent corruption\n", len(rep.Cells))
-		return cliutil.ExitOK, nil
+		}, fmt.Sprintf("ok: %d cells, zero silent corruption", len(rep.Cells)))
 	})
 }

@@ -173,8 +173,8 @@ func measureMachine(fc FleetConfig, spec cluster.MachineSpec, sessions int) (m F
 		if p := recover(); p != nil {
 			m.Outcome = OutcomeInternalError
 			m.Detail = fmt.Sprintf("panic: %v", p)
-			m.Run.Outcome = m.Outcome.String()
 		}
+		m.Run.Outcome = m.Outcome.String()
 	}()
 
 	cfg := machineConfig(fc.Base, spec, fc.BatteryTech)
@@ -191,23 +191,19 @@ func measureMachine(fc FleetConfig, spec cluster.MachineSpec, sessions int) (m F
 	if err != nil {
 		m.Outcome = OutcomeInternalError
 		m.Detail = err.Error()
-		m.Run.Outcome = m.Outcome.String()
 		return m
 	}
 	if err := ws.Run(w); err != nil {
 		m.Outcome = OutcomeInternalError
 		m.Detail = fmt.Sprintf("workload: %v", err)
-		m.Run.Outcome = m.Outcome.String()
 		return m
 	}
 
-	blocks := flushOrder(cfg, ws.Machine.DirtyBlocks())
+	res, blocks, err := ws.drain(nil)
 	m.Blocks = len(blocks)
-	res, err := ws.drainer.Drain(blocks)
 	if err != nil {
 		m.Outcome = OutcomeInternalError
 		m.Detail = fmt.Sprintf("drain: %v", err)
-		m.Run.Outcome = m.Outcome.String()
 		return m
 	}
 	m.Run.DrainPs = int64(res.DrainTime)
@@ -220,7 +216,6 @@ func measureMachine(fc FleetConfig, spec cluster.MachineSpec, sessions int) (m F
 	var recoverTime sim.Time
 	m.Outcome, m.Detail, _, recoverTime = classifyOutcome(ws.Core, res.Persist, blocks, false)
 	m.Run.RecoverPs = int64(recoverTime)
-	m.Run.Outcome = m.Outcome.String()
 	m.ImageHash = nvmImageHash(ws)
 	return m
 }
@@ -310,18 +305,10 @@ func RunFleet(ctx context.Context, fc FleetConfig, opts SweepOptions) (*FleetRep
 	cluster.Publish(fc.Base.Metrics, fc.Base.Timeseries, f, rep.Runs(), lres, rep.Metrics)
 
 	if ts := fc.Base.Timeseries; ts != nil {
-		// One sample per machine, indexed by ID: zero for contract-
-		// satisfying verdicts, one for silent corruption or harness error.
-		// The fleet-no-silent SLO (FleetSLORules) asserts every sample is
-		// zero; RequireData makes an empty fleet fail rather than pass.
-		w := ts.WindowPs()
+		// One sample per machine, indexed by ID (FleetSLORules); a harness
+		// error counts as silent here.
 		for id, m := range rep.Machines {
-			v := 0.0
-			if !m.Outcome.OK() {
-				v = 1
-			}
-			ts.Counter("horus_fleet_ts_silent_total",
-				"scheme", m.Spec.Scheme.String()).Record(int64(id)*w, v)
+			recordSilent(ts, "horus_fleet_ts_silent_total", id, !m.Outcome.OK(), "scheme", m.Spec.Scheme.String())
 		}
 	}
 	return rep, nil
@@ -340,11 +327,8 @@ func RunFleet(ctx context.Context, fc FleetConfig, opts SweepOptions) (*FleetRep
 // Evaluate with EvaluateSLO over Base.Timeseries.Snapshot(); the
 // horus-fleet CLI exits 2 on violation.
 func FleetSLORules(stormBudgetPs, drainP99BudgetPs int64) []SLORule {
-	rules := []SLORule{{
-		Name: "fleet-no-silent", Series: "horus_fleet_ts_silent_total",
-		Op: SLOAlwaysZero, RequireData: true,
-		Description: "no machine may recover to silently wrong data after an outage (fleet oracle)",
-	}}
+	rules := []SLORule{noSilentRule("fleet-no-silent", "horus_fleet_ts_silent_total",
+		"no machine may recover to silently wrong data after an outage (fleet oracle)")}
 	if stormBudgetPs > 0 {
 		rules = append(rules, SLORule{
 			Name: "fleet-storm-budget", Series: "horus_fleet_ts_storm_max_ps",

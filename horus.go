@@ -59,10 +59,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // returned alongside it. See DESIGN.md §8.
 type SweepError = sweep.Error
 
-// DeriveSeed maps (base seed, episode index) to a stable, independent
-// per-episode seed (the episode engine's determinism primitive).
-func DeriveSeed(base int64, index int) int64 { return sweep.DeriveSeed(base, index) }
-
 // Scheme identifies one of the paper's five draining designs (re-exported
 // from the core package).
 type Scheme = core.Scheme

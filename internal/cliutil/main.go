@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 
 	horus "repro"
 	"repro/internal/report"
@@ -154,6 +155,54 @@ func (e *Env) Finish() error {
 	}
 	e.Telemetry.Shutdown()
 	return nil
+}
+
+// OracleConfig builds a crash-oracle command's config: the -scale base with
+// -seed applied and the shared sinks attached (Config), plus a time-series
+// sampler even without -ts or -serve, since the no-silent SLO reads it. It
+// parses -scheme too; "secure" gives nil, the harness's secure default.
+func (e *Env) OracleConfig(scale string, seed int64, schemes string) (horus.Config, []horus.Scheme, error) {
+	base, err := ParseScale(scale)
+	if err != nil {
+		return horus.Config{}, nil, err
+	}
+	base.Seed = seed
+	cfg, err := e.Config(base)
+	if err != nil {
+		return cfg, nil, err
+	}
+	e.RequireTimeseries(&cfg)
+	if strings.EqualFold(schemes, "secure") {
+		return cfg, nil, nil
+	}
+	list, err := ParseSchemes(schemes)
+	return cfg, list, err
+}
+
+// OracleExit is the crash-oracle commands' tail: it writes -metrics,
+// evaluates rules over cfg's series (printing the SLO table on a breach)
+// and finishes the telemetry. The no-silent SLO is stricter than the
+// report's own verdict: it also fails a run that recorded no data. If the
+// run broke its contract (!ok) or an SLO, fail prints the violations and
+// the status is ExitFail; else it prints okLine, ExitOK.
+func (e *Env) OracleExit(cfg horus.Config, rules []horus.SLORule, ok bool, fail func(), okLine string) (int, error) {
+	if err := e.WriteMetrics("metrics:"); err != nil {
+		return ExitFail, err
+	}
+	slo := horus.EvaluateSLO(rules, cfg.Timeseries.Snapshot())
+	if !slo.Ok() {
+		fmt.Println()
+		slo.Table().Fprint(os.Stdout)
+	}
+	if err := e.Finish(); err != nil {
+		return ExitFail, err
+	}
+	if !ok || !slo.Ok() {
+		fail()
+		return ExitFail, nil
+	}
+	fmt.Println(okLine)
+	return ExitOK, nil
 }
 
 // WriteFile creates path, hands it to write and closes it, returning the

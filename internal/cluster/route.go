@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/sim"
 )
 
 // RoutePolicy selects how client sessions are assigned to machines before
@@ -98,7 +100,7 @@ func RouteSessions(f *Fleet, sched Schedule, n int, horizonPs int64, pol RoutePo
 		if horizonPs > 0 {
 			t = int64(uint64(horizonPs) * uint64(i) / uint64(n))
 		}
-		tenant := splitmix64(uint64(seed) + uint64(i)*0x9e3779b97f4a7c15)
+		tenant := sim.SplitMix64(uint64(seed) + uint64(i)*sim.SplitMixGamma)
 		var first int
 		switch pol {
 		case RouteHash:
@@ -134,13 +136,4 @@ func RouteSessions(f *Fleet, sched Schedule, n int, horizonPs int64, pol RoutePo
 		}
 	}
 	return rs
-}
-
-// splitmix64 is the repo's standard stateless mixer (same round as
-// sweep.DeriveSeed).
-func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -9,10 +9,10 @@ package faultinject
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // Flavor is a crash/corruption mode from the torture matrix (ISSUE 3 /
@@ -145,9 +145,6 @@ type Injector struct {
 // NewInjector returns an injector for plan.
 func NewInjector(plan CrashPlan) *Injector { return &Injector{plan: plan} }
 
-// Plan returns the injector's crash plan.
-func (in *Injector) Plan() CrashPlan { return in.plan }
-
 // Steps returns how many writes the injector has seen. After a counting
 // pass (Step < 0) this is the episode's crash-point total.
 func (in *Injector) Steps() int { return in.step }
@@ -178,7 +175,7 @@ func (in *Injector) OnWrite(addr uint64, cat mem.Category) mem.Fault {
 			in.OnCut()
 		}
 	}
-	h := mix(in.plan.Seed ^ uint64(idx)*0x9e3779b97f4a7c15)
+	h := sim.SplitMix64(in.plan.Seed ^ uint64(idx)*sim.SplitMixGamma)
 	switch in.plan.Flavor {
 	case CleanCut:
 		return mem.Fault{Kind: mem.FaultCut}
@@ -190,15 +187,6 @@ func (in *Injector) OnWrite(addr uint64, cat mem.Category) mem.Fault {
 		return mem.Fault{Kind: mem.FaultDrop}
 	}
 	return mem.Fault{}
-}
-
-// mix is splitmix64's finalizer: a cheap, well-distributed hash for deriving
-// fault parameters from (seed, step).
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // SampleSteps picks the crash points to exercise out of total steps. With
@@ -213,17 +201,13 @@ func SampleSteps(total, stride, max int) []int {
 	if stride < 1 {
 		stride = 1
 	}
-	picked := make(map[int]bool)
+	steps := make([]int, 0, total/stride+2)
 	for s := 0; s < total; s += stride {
-		picked[s] = true
-	}
-	picked[0] = true
-	picked[total-1] = true
-	steps := make([]int, 0, len(picked))
-	for s := range picked {
 		steps = append(steps, s)
 	}
-	sort.Ints(steps)
+	if steps[len(steps)-1] != total-1 {
+		steps = append(steps, total-1)
+	}
 	if max > 0 && len(steps) > max {
 		if max == 1 {
 			return steps[:1]

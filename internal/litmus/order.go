@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/addrmap"
+	"repro/internal/sim"
 )
 
 // Ordering is one admissible crash state of an epoch: the subset of the
@@ -88,16 +89,13 @@ func (o Options) classify(w Write) string {
 	return string(w.Cat)
 }
 
-// rng is a splitmix64 stream: the standard cheap deterministic generator
-// used across the repo's fault and sampling paths.
+// rng is a splitmix64 stream over sim.SplitMix64.
 type rng struct{ state uint64 }
 
 func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	z := sim.SplitMix64(r.state)
+	r.state += sim.SplitMixGamma
+	return z
 }
 
 // addrGroups lists, per address in first-appearance order, the ascending

@@ -87,19 +87,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Mean returns the arithmetic mean (zero with no observations).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // Min returns the smallest observation (zero with no observations).
 func (h *Histogram) Min() float64 {
 	if h == nil {

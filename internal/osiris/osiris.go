@@ -194,15 +194,9 @@ func Recover(sys *core.System, stopLoss int, scheme string) (Result, error) {
 	return res, nil
 }
 
-// RebuildTree recomputes every populated integrity-tree path bottom-up and
-// returns the new root-register content and the number of nodes written.
-func RebuildTree(sys *core.System, start sim.Time) (mem.Block, int64, sim.Time) {
-	root, written, _, now := rebuildTree(sys, start, nil)
-	return root, written, now
-}
-
-// rebuildTree is RebuildTree with MAC-op accounting on an optional
-// recovery-path observer.
+// rebuildTree recomputes every populated integrity-tree path bottom-up and
+// returns the new root-register content, the number of nodes written and
+// the MAC operations spent, accounted on an optional recovery-path observer.
 func rebuildTree(sys *core.System, start sim.Time, p *recovery.PathObs) (mem.Block, int64, int64, sim.Time) {
 	lay := sys.Layout
 	nvm := sys.NVM

@@ -124,9 +124,6 @@ func (e *Engine) BusyTime() Time { return e.busy }
 // waiting for an issue slot.
 func (e *Engine) WaitTime() Time { return e.wait }
 
-// Latency returns the per-operation latency.
-func (e *Engine) Latency() Time { return e.latency }
-
 // Name returns the diagnostic name.
 func (e *Engine) Name() string { return e.name }
 

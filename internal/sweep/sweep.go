@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/probe"
+	"repro/internal/sim"
 )
 
 // Env is the per-episode environment the runner supplies to Run.
@@ -266,10 +267,7 @@ func (r *Runner) runOne(ctx context.Context, i int, ep Episode) (res Result) {
 // stream, the derivation depends only on the index, so any scheduling order
 // yields the same seed for the same episode.
 func DeriveSeed(base int64, index int) int64 {
-	z := uint64(base) + 0x9e3779b97f4a7c15*uint64(index+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(sim.SplitMix64(uint64(base) + sim.SplitMixGamma*uint64(index)))
 }
 
 // PanicError wraps a panic captured inside an episode so one crashing

@@ -63,13 +63,6 @@ type LitmusConfig struct {
 	CorruptTrials int
 }
 
-func (lc *LitmusConfig) corruptTrials() int {
-	if lc.CorruptTrials <= 0 {
-		return 6
-	}
-	return lc.CorruptTrials
-}
-
 // LitmusCell is one (scheme, epoch, ordering) verdict: the recovery outcome
 // of crashing at the epoch's barrier with exactly that admissible subset of
 // the epoch's writes durable.
@@ -183,37 +176,10 @@ func (r *LitmusReport) OrderingTable() *report.Table {
 		Title:  "Persistency litmus: outcomes per (scheme, epoch)",
 		Header: []string{"scheme", "epoch", "stage", "writes", "orderings", "restored", "partial", "detected", "silent", "internal"},
 	}
-	type key struct {
-		s Scheme
-		e int
-	}
-	type agg struct {
-		stage  string
-		writes int
-		m      map[CrashOutcome]int
-	}
-	rows := map[key]*agg{}
-	var order []key
-	for _, c := range r.Cells {
-		k := key{c.Scheme, c.Epoch}
-		a := rows[k]
-		if a == nil {
-			a = &agg{stage: c.Stage, writes: c.EpochWrites, m: map[CrashOutcome]int{}}
-			rows[k] = a
-			order = append(order, k)
-		}
-		a.m[c.Outcome]++
-	}
-	for _, k := range order {
-		a := rows[k]
-		total := 0
-		for _, n := range a.m {
-			total += n
-		}
-		t.AddRow(k.s.String(), fmt.Sprint(k.e), a.stage, fmt.Sprint(a.writes), fmt.Sprint(total),
-			fmt.Sprint(a.m[OutcomeRestored]), fmt.Sprint(a.m[OutcomePartial]), fmt.Sprint(a.m[OutcomeDetected]),
-			fmt.Sprint(a.m[OutcomeSilentCorruption]), fmt.Sprint(a.m[OutcomeInternalError]))
-	}
+	addOutcomeRows(t, len(r.Cells), func(i int) ([]string, CrashOutcome) {
+		c := r.Cells[i]
+		return []string{c.Scheme.String(), fmt.Sprint(c.Epoch), c.Stage, fmt.Sprint(c.EpochWrites)}, c.Outcome
+	})
 	if fails := r.Failures(); len(fails) > 0 {
 		for _, f := range fails {
 			t.AddNote("FAIL %s", f)
@@ -265,25 +231,15 @@ func (r *LitmusReport) CoverageTable() *report.Table {
 func (r *LitmusReport) ForensicTable() *report.Table {
 	var fs []Forensic
 	for _, c := range r.Cells {
-		if c.Forensic == nil {
-			continue
+		if c.Forensic != nil {
+			fs = append(fs, stampForensic(c.Forensic, c.Label(), c.Scheme, "reorder"))
 		}
-		f := *c.Forensic
-		f.Label = c.Label()
-		f.Scheme = c.Scheme.String()
-		f.Model = "reorder"
-		fs = append(fs, f)
 	}
 	for _, c := range r.Coverage {
-		for _, fp := range c.Forensics {
-			if fp == nil {
-				continue
+		for _, f := range c.Forensics {
+			if f != nil {
+				fs = append(fs, stampForensic(f, fmt.Sprintf("%s/%s/%s", c.Scheme, c.Model, c.Target), c.Scheme, c.Model.String()))
 			}
-			f := *fp
-			f.Label = fmt.Sprintf("%s/%s/%s", c.Scheme, c.Model, c.Target)
-			f.Scheme = c.Scheme.String()
-			f.Model = c.Model.String()
-			fs = append(fs, f)
 		}
 	}
 	return report.ForensicTable(fs...)
@@ -342,20 +298,17 @@ func recordLitmusEpisode(cfg Config, scheme Scheme, w *Workload) (*litmusEpisode
 	ep := &litmusEpisode{
 		scheme: scheme,
 		lay:    ws.Core.Layout,
-		blocks: flushOrder(cfg, ws.Machine.DirtyBlocks()),
 		pre:    ws.Core.NVM.Store().Snapshot(),
 	}
-	ep.index = drainIndex(ep.blocks)
 	rec := litmus.NewRecorder()
 	rec.OnEpochClose = func(litmus.Epoch) {
 		ep.snaps = append(ep.snaps, ws.drainer.PersistSnapshot())
 	}
-	ws.Core.NVM.SetFaultInjector(rec)
-	res, err := ws.drainer.Drain(ep.blocks)
-	ws.Core.NVM.SetFaultInjector(nil)
+	res, blocks, err := ws.drain(rec)
 	if err != nil {
 		return nil, fmt.Errorf("horus: litmus drain on %v: %w", scheme, err)
 	}
+	ep.blocks, ep.index = blocks, drainIndex(blocks)
 	rec.Finish()
 	ep.writes = rec.Writes()
 	ep.epochs = rec.Epochs()
@@ -445,20 +398,6 @@ func (ep *litmusEpisode) classifyOrdering(cfg Config, ei int, o litmus.Ordering)
 	return out, detail, forensic
 }
 
-// probeAddrs returns the sorted populated data-region addresses of the
-// complete image — the set of runtime in-place blocks a post-recovery reader
-// would consult.
-func (ep *litmusEpisode) probeAddrs() []uint64 {
-	var out []uint64
-	ep.complete.Each(func(a uint64, _ mem.Block) {
-		if ep.lay.RegionOf(a) == bmt.RegionData {
-			out = append(out, a)
-		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // victimPool returns the sorted populated complete-image addresses in the
 // given region; for freshness (rollback) models only blocks the drain or
 // runtime actually changed qualify — rolling back an unchanged block is a
@@ -485,25 +424,32 @@ var coverageRegions = []bmt.Region{
 }
 
 // referenceProbe recovers the uncorrupted complete image on a fresh system
-// and records each probe address's plaintext, parallel to addrs — the
-// baseline a corrupted trial's reads are compared against.
-func (ep *litmusEpisode) referenceProbe(cfg Config, addrs []uint64) ([]mem.Block, error) {
+// and returns the probe addresses — the sorted populated data-region
+// addresses, the runtime in-place blocks a post-recovery reader would
+// consult — and each one's plaintext, parallel to them: the baseline a
+// corrupted trial's reads are compared against.
+func (ep *litmusEpisode) referenceProbe(cfg Config) ([]uint64, []mem.Block, error) {
+	addrs := ep.victimPool(bmt.RegionData, false)
 	ei := len(ep.epochs) - 1
 	sys := ep.crashed(cfg, ep.complete, ei)
 	defer ep.release(sys)
 	ps := ep.snaps[ei]
 	if err := ep.recoverFor(sys, ps); err != nil {
-		return nil, fmt.Errorf("horus: reference recovery on %v: %w", ep.scheme, err)
+		return nil, nil, fmt.Errorf("horus: reference recovery on %v: %w", ep.scheme, err)
 	}
 	ref := make([]mem.Block, len(addrs))
-	for i, a := range addrs {
-		b, err := sys.Sec.ProbeBlock(a)
-		if err != nil {
-			return nil, fmt.Errorf("horus: reference probe of %#x on %v: %w", a, ep.scheme, err)
-		}
-		ref[i] = b
+	r := probeSweep(sys, len(addrs), func(i int) uint64 { return addrs[i] }, func(i int, got mem.Block) bool {
+		ref[i] = got
+		return true
+	})
+	at, err := r.first, r.firstErr
+	if err == nil {
+		at, err = r.stop, r.err
 	}
-	return ref, nil
+	if err != nil {
+		return nil, nil, fmt.Errorf("horus: reference probe of %#x on %v: %w", addrs[at], ep.scheme, err)
+	}
+	return addrs, ref, nil
 }
 
 // recoverFor runs the scheme's recovery sequence (recoverCore) on a
@@ -519,10 +465,11 @@ func (ep *litmusEpisode) recoverFor(sys *core.System, ps PersistentState) error 
 	return nil
 }
 
-// coverageTrial corrupts one victim of the complete image and reports the
-// verdict ("detected", "silent", "masked" or "internal") plus, for a
-// detection, its forensic provenance.
-func (ep *litmusEpisode) coverageTrial(cfg Config, model CorruptionModel, victim uint64, seed uint64, ref []mem.Block, addrs []uint64) (string, string, *Forensic) {
+// coverageTrial corrupts one victim of the complete image and classifies
+// the trial: OutcomeDetected (with its forensic provenance),
+// OutcomeSilentCorruption, OutcomeInternalError, or OutcomeRestored when
+// neither recovery nor the probe sweep observed the corruption (masked).
+func (ep *litmusEpisode) coverageTrial(cfg Config, model CorruptionModel, victim uint64, seed uint64, ref []mem.Block, addrs []uint64) (CrashOutcome, string, *Forensic) {
 	ei := len(ep.epochs) - 1
 	sys := ep.crashed(cfg, ep.complete, ei)
 	defer ep.release(sys)
@@ -533,7 +480,7 @@ func (ep *litmusEpisode) coverageTrial(cfg Config, model CorruptionModel, victim
 	cur := st.ReadBlock(victim)
 	nb := litmus.Corrupt(model, cur, ep.pre.ReadBlock(victim), seed)
 	if nb == cur {
-		return "masked", "corruption was a no-op", nil
+		return OutcomeRestored, "corruption was a no-op", nil
 	}
 	st.WriteBlock(victim, nb)
 	if model == litmus.RollbackGroup && ep.lay.RegionOf(victim) == bmt.RegionData {
@@ -546,38 +493,25 @@ func (ep *litmusEpisode) coverageTrial(cfg Config, model CorruptionModel, victim
 
 	if err := ep.recoverFor(sys, ps); err != nil {
 		if recovery.IsDetection(err) {
-			return "detected", fmt.Sprintf("recovery: %v", err), ForensicFromError(err, "recovery")
+			return OutcomeDetected, fmt.Sprintf("recovery: %v", err), ForensicFromError(err, "recovery")
 		}
 		if ps.Scheme.UsesCHV() {
 			// recoverFor folds an undrained recovered block into an untyped error.
-			return "silent", err.Error(), nil
+			return OutcomeSilentCorruption, err.Error(), nil
 		}
-		return "internal", err.Error(), nil
+		return OutcomeInternalError, err.Error(), nil
 	}
 
-	detected := ""
-	var forensic *Forensic
-	for i, a := range addrs {
-		b, err := sys.Sec.ProbeBlock(a)
-		if err != nil {
-			if !recovery.IsDetection(err) {
-				return "internal", fmt.Sprintf("probe of %#x: %v", a, err), nil
-			}
-			if detected == "" {
-				detected = fmt.Sprintf("probe of %#x: %v", a, err)
-				forensic = ForensicFromError(err, "post-recovery read")
-				forensic.BlocksScanned = int64(i)
-			}
-			continue
-		}
-		if b != ref[i] {
-			return "silent", fmt.Sprintf("probe of %#x verified with wrong plaintext", a), nil
-		}
+	r := probeSweep(sys, len(addrs), func(i int) uint64 { return addrs[i] }, func(i int, got mem.Block) bool { return got == ref[i] })
+	switch {
+	case r.err != nil:
+		return OutcomeInternalError, fmt.Sprintf("probe of %#x: %v", addrs[r.stop], r.err), nil
+	case r.stop < len(addrs):
+		return OutcomeSilentCorruption, fmt.Sprintf("probe of %#x verified with wrong plaintext", addrs[r.stop]), nil
+	case r.detected > 0:
+		return OutcomeDetected, fmt.Sprintf("probe of %#x: %v", addrs[r.first], r.firstErr), r.forensic
 	}
-	if detected != "" {
-		return "detected", detected, forensic
-	}
-	return "masked", "", nil
+	return OutcomeRestored, "", nil
 }
 
 // RunLitmus records one fault-free drain per scheme, explores admissible
@@ -587,18 +521,10 @@ func (ep *litmusEpisode) coverageTrial(cfg Config, model CorruptionModel, victim
 // results are byte-identical for any Parallel. The returned error covers
 // harness failures only; contract violations are in LitmusReport.Failures.
 func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*LitmusReport, error) {
-	schemes := lc.Schemes
-	if len(schemes) == 0 {
-		schemes = []Scheme{BaseLU, BaseEU, HorusSLM, HorusDLM}
+	schemes, cfg, w, err := oracleSetup("litmus", lc.Config, lc.Schemes, lc.NewWorkload, defaultLitmusWorkload)
+	if err != nil {
+		return nil, err
 	}
-	sink, tsSink := lc.Config.Metrics, lc.Config.Timeseries
-	cfg := lc.Config
-	cfg.Probe = probe.Probe{} // cells run in parallel and share no sink
-	newWorkload := lc.NewWorkload
-	if newWorkload == nil {
-		newWorkload = defaultLitmusWorkload
-	}
-	w := newWorkload(cfg.Seed)
 
 	rep := &LitmusReport{Steps: map[Scheme]int{}, Epochs: map[Scheme]int{}}
 
@@ -606,9 +532,6 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 	// recording is the shared input every cell of that scheme replays).
 	episodes := make([]*litmusEpisode, len(schemes))
 	for i, s := range schemes {
-		if !s.Secure() {
-			return nil, fmt.Errorf("horus: litmus requires a secure scheme, got %v (no MACs, nothing can be detected)", s)
-		}
 		ep, err := recordLitmusEpisode(cfg, s, w)
 		if err != nil {
 			return nil, err
@@ -627,14 +550,7 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 	}
 	var ordSpecs []ordSpec
 	for si, ep := range episodes {
-		ep := ep
-		sel := make([]int, len(ep.epochs))
-		for i := range sel {
-			sel[i] = i
-		}
-		if lc.MaxEpochs > 0 {
-			sel = faultinject.SampleSteps(len(ep.epochs), 1, lc.MaxEpochs)
-		}
+		sel := faultinject.SampleSteps(len(ep.epochs), 1, lc.MaxEpochs)
 		classify := func(wr litmus.Write) string { return ep.lay.RegionOf(wr.Addr).String() }
 		for _, ei := range sel {
 			e := ep.epochs[ei]
@@ -651,8 +567,7 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 	}
 
 	eps := make([]sweep.Episode, 0, len(ordSpecs))
-	for i := range ordSpecs {
-		sp := ordSpecs[i]
+	for _, sp := range ordSpecs {
 		e := sp.ep.epochs[sp.ei]
 		eps = append(eps, sweep.Episode{
 			Label: fmt.Sprintf("%s/e%d/%s", sp.ep.scheme, sp.ei, sp.ord.Kind),
@@ -670,59 +585,48 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 	// Phase 3: coverage cells — one episode per (scheme, model, target),
 	// running its trials inside. Reference probes are recorded sequentially
 	// first so trials only compare.
-	type covSpec struct {
-		ep     *litmusEpisode
-		model  CorruptionModel
-		region bmt.Region
-		pool   []uint64
-		ref    []mem.Block
-		addrs  []uint64
+	trials := lc.CorruptTrials
+	if trials <= 0 {
+		trials = 6
 	}
-	var covSpecs []covSpec
-	if len(lc.Corrupt) > 0 {
-		for _, ep := range episodes {
-			addrs := ep.probeAddrs()
-			ref, err := ep.referenceProbe(cfg, addrs)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range lc.Corrupt {
-				for _, region := range coverageRegions {
-					pool := ep.victimPool(region, freshnessModel(m))
-					if len(pool) == 0 {
-						continue
-					}
-					covSpecs = append(covSpecs, covSpec{ep: ep, model: m, region: region, pool: pool, ref: ref, addrs: addrs})
+	for _, ep := range episodes {
+		if len(lc.Corrupt) == 0 {
+			break
+		}
+		addrs, ref, err := ep.referenceProbe(cfg)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range lc.Corrupt {
+			for _, region := range coverageRegions {
+				pool := ep.victimPool(region, freshnessModel(m))
+				if len(pool) == 0 {
+					continue
 				}
+				eps = append(eps, sweep.Episode{
+					Label: fmt.Sprintf("%s/%s/%s", ep.scheme, m, region),
+					Run: func(ctx context.Context, env sweep.Env) (any, error) {
+						cell := CoverageCell{Scheme: ep.scheme, Model: m, Target: region.String(), Trials: trials}
+						for t := 0; t < trials; t++ {
+							seed := uint64(sweep.DeriveSeed(env.Seed, t))
+							verdict, _, forensic := ep.coverageTrial(cfg, m, pool[seed%uint64(len(pool))], seed, ref, addrs)
+							switch verdict {
+							case OutcomeDetected:
+								cell.Detected++
+								cell.Forensics = append(cell.Forensics, forensic)
+							case OutcomeSilentCorruption:
+								cell.Silent++
+							case OutcomeRestored:
+								cell.Masked++
+							default:
+								cell.Internal++
+							}
+						}
+						return cell, nil
+					},
+				})
 			}
 		}
-	}
-	trials := lc.corruptTrials()
-	for i := range covSpecs {
-		sp := covSpecs[i]
-		eps = append(eps, sweep.Episode{
-			Label: fmt.Sprintf("%s/%s/%s", sp.ep.scheme, sp.model, sp.region),
-			Run: func(ctx context.Context, env sweep.Env) (any, error) {
-				cell := CoverageCell{Scheme: sp.ep.scheme, Model: sp.model, Target: sp.region.String(), Trials: trials}
-				for t := 0; t < trials; t++ {
-					seed := uint64(sweep.DeriveSeed(env.Seed, t))
-					victim := sp.pool[seed%uint64(len(sp.pool))]
-					verdict, _, forensic := sp.ep.coverageTrial(cfg, sp.model, victim, seed, sp.ref, sp.addrs)
-					switch verdict {
-					case "detected":
-						cell.Detected++
-						cell.Forensics = append(cell.Forensics, forensic)
-					case "silent":
-						cell.Silent++
-					case "masked":
-						cell.Masked++
-					default:
-						cell.Internal++
-					}
-				}
-				return cell, nil
-			},
-		})
 	}
 
 	results, err := runEpisodes(ctx, cfg.Seed, probe.Probe{}, opts, eps)
@@ -745,13 +649,12 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 			continue
 		}
 		sp := ordSpecs[i]
-		wantOutcome := c.Outcome
-		min := litmus.Minimize(sp.ep.writes[sp.ep.epochs[sp.ei].Lo:sp.ep.epochs[sp.ei].Hi], sp.ord.Applied, func(cand []int) bool {
+		e := sp.ep.epochs[sp.ei]
+		min := litmus.Minimize(sp.ep.writes[e.Lo:e.Hi], sp.ord.Applied, func(cand []int) bool {
 			out, _, _ := sp.ep.classifyOrdering(cfg, sp.ei, litmus.Ordering{Kind: "minimize", Applied: cand})
-			return out == wantOutcome
+			return out == c.Outcome
 		})
 		wit := &LitmusWitness{Cell: c, Applied: min}
-		e := sp.ep.epochs[sp.ei]
 		for _, idx := range min {
 			wr := sp.ep.writes[e.Lo+idx]
 			wit.Trace = append(wit.Trace, fmt.Sprintf("write %d: %s block at %#x (%s)",
@@ -761,16 +664,10 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 		break
 	}
 
-	if sink != nil {
+	if sink := lc.Config.Metrics; sink != nil {
 		sink.SetHelp("horus_litmus_cells_total", "Litmus ordering cells by scheme and recovery outcome.")
 		for _, c := range rep.Cells {
-			sink.Counter("horus_litmus_cells_total",
-				"scheme", c.Scheme.String(), "outcome", c.Outcome.String()).Add(1)
-		}
-		for _, c := range rep.Cells {
-			if c.Forensic != nil {
-				publishDetectLatency(sink, c.Scheme, "reorder", c.Forensic)
-			}
+			publishOutcome(sink, "horus_litmus_cells_total", c.Scheme, "reorder", c.Outcome, c.Forensic)
 		}
 		sink.SetHelp("horus_litmus_coverage_trials_total", "Corruption-coverage trials by scheme, model, target and verdict.")
 		for _, c := range rep.Coverage {
@@ -791,17 +688,11 @@ func RunLitmus(ctx context.Context, lc LitmusConfig, opts SweepOptions) (*Litmus
 			}
 		}
 	}
-	if tsSink != nil {
-		// One sample per ordering cell: zero when the contract held, one on
-		// silent corruption — same shape as the torture matrix's SLO series.
-		wps := tsSink.WindowPs()
+	if tsSink := lc.Config.Timeseries; tsSink != nil {
+		// One sample per ordering cell, indexed by cell (LitmusSLORules).
 		for i, c := range rep.Cells {
-			s := tsSink.Counter("horus_ts_litmus_silent_total", "scheme", c.Scheme.String())
-			v := 0.0
-			if c.Outcome == OutcomeSilentCorruption {
-				v = 1
-			}
-			s.Record(int64(i)*wps, v)
+			recordSilent(tsSink, "horus_ts_litmus_silent_total", i, c.Outcome == OutcomeSilentCorruption,
+				"scheme", c.Scheme.String())
 		}
 	}
 	return rep, nil

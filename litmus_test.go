@@ -281,8 +281,7 @@ func TestLitmusMaterializeMatchesReference(t *testing.T) {
 
 		// Recovery writes (and wears) the store; a corruption changes one
 		// victim. Both must be gone from the next cell's image.
-		addrs := ep.probeAddrs()
-		ref, err := ep.referenceProbe(cfg, addrs)
+		addrs, ref, err := ep.referenceProbe(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +291,7 @@ func TestLitmusMaterializeMatchesReference(t *testing.T) {
 				break
 			}
 		}
-		if verdict, detail, _ := ep.coverageTrial(cfg, litmus.SingleBit, pool[0], 3, ref, addrs); verdict == "silent" || verdict == "internal" {
+		if verdict, detail, _ := ep.coverageTrial(cfg, litmus.SingleBit, pool[0], 3, ref, addrs); !verdict.OK() {
 			t.Fatalf("%v: single-bit trial on %#x: %s (%s)", s, pool[0], verdict, detail)
 		}
 		if len(ep.spare) != 1 || ep.spare[0] != store {

@@ -99,13 +99,24 @@ func (ws *WorkloadSystem) Stats() RunStats { return ws.Machine.Stats() }
 // image for verifying recovery: every cached line, by ascending address.
 func (ws *WorkloadSystem) CrashAndDrain() (Result, []DirtyBlock, error) {
 	image := ws.Machine.Image()
-	blocks := flushOrder(ws.Config, ws.Machine.DirtyBlocks())
-	res, err := ws.drainer.Drain(blocks)
+	res, _, err := ws.drain(nil)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	ws.Crash()
 	return res, image, nil
+}
+
+// drain flushes the dirty blocks (in flushOrder) and the metadata caches
+// under the scheme, with hook (a fault injector, the litmus recorder, or
+// nil) seeing every NVM write. It returns the result and the blocks in
+// drain order, which the crash oracles hold recovery to.
+func (ws *WorkloadSystem) drain(hook mem.FaultInjector) (Result, []DirtyBlock, error) {
+	blocks := flushOrder(ws.Config, ws.Machine.DirtyBlocks())
+	ws.Core.NVM.SetFaultInjector(hook)
+	defer ws.Core.NVM.SetFaultInjector(nil)
+	res, err := ws.drainer.Drain(blocks)
+	return res, blocks, err
 }
 
 // Crash models the loss of power at the current instant, without a drain:

@@ -115,23 +115,24 @@ func DrainSLORules(cfg Config, budgetJ float64) []SLORule {
 	}
 }
 
+// noSilentRule is a crash oracle's recoverability objective over its
+// silent series (recordSilent): every sample must be zero, and a run that
+// recorded none fails too.
+func noSilentRule(name, series, description string) SLORule {
+	return SLORule{Name: name, Series: series, Op: SLOAlwaysZero, RequireData: true, Description: description}
+}
+
 // TortureSLORules builds the torture-matrix objective: the
 // silent-corruption counter series must be zero at every point, for every
 // (scheme, fault) cell.
 func TortureSLORules() []SLORule {
-	return []SLORule{{
-		Name: "no-silent-corruption", Series: "horus_ts_torture_silent_total",
-		Op: SLOAlwaysZero, RequireData: true,
-		Description: "recovery must never accept corrupted data as valid (torture matrix)",
-	}}
+	return []SLORule{noSilentRule("no-silent-corruption", "horus_ts_torture_silent_total",
+		"recovery must never accept corrupted data as valid (torture matrix)")}
 }
 
 // LitmusSLORules builds the persistency-litmus objective: the per-ordering
 // silent-corruption series must be zero at every point, for every scheme.
 func LitmusSLORules() []SLORule {
-	return []SLORule{{
-		Name: "no-silent-reordering", Series: "horus_ts_litmus_silent_total",
-		Op: SLOAlwaysZero, RequireData: true,
-		Description: "no admissible write reordering may recover to silently wrong data (litmus sweep)",
-	}}
+	return []SLORule{noSilentRule("no-silent-reordering", "horus_ts_litmus_silent_total",
+		"no admissible write reordering may recover to silently wrong data (litmus sweep)")}
 }

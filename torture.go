@@ -125,27 +125,10 @@ func (r *TortureReport) Table() *report.Table {
 		Title:  "Crash matrix: outcome per (scheme, flavor)",
 		Header: []string{"scheme", "flavor", "points", "restored", "partial", "detected", "silent", "internal"},
 	}
-	type key struct {
-		s Scheme
-		f CrashFlavor
-	}
-	counts := map[key]map[CrashOutcome]int{}
-	var order []key
-	for _, c := range r.Cells {
-		k := key{c.Scheme, c.Flavor}
-		if counts[k] == nil {
-			counts[k] = map[CrashOutcome]int{}
-			order = append(order, k)
-		}
-		counts[k][c.Outcome]++
-	}
-	for _, k := range order {
-		m := counts[k]
-		total := m[OutcomeRestored] + m[OutcomePartial] + m[OutcomeDetected] + m[OutcomeSilentCorruption] + m[OutcomeInternalError]
-		t.AddRow(k.s.String(), k.f.String(), fmt.Sprint(total),
-			fmt.Sprint(m[OutcomeRestored]), fmt.Sprint(m[OutcomePartial]), fmt.Sprint(m[OutcomeDetected]),
-			fmt.Sprint(m[OutcomeSilentCorruption]), fmt.Sprint(m[OutcomeInternalError]))
-	}
+	addOutcomeRows(t, len(r.Cells), func(i int) ([]string, CrashOutcome) {
+		c := r.Cells[i]
+		return []string{c.Scheme.String(), c.Flavor.String()}, c.Outcome
+	})
 	if fails := r.Failures(); len(fails) > 0 {
 		for _, c := range fails {
 			t.AddNote("FAIL %s: %s (%s)", c.Label(), c.Outcome, c.Detail)
@@ -163,14 +146,9 @@ func (r *TortureReport) Table() *report.Table {
 func (r *TortureReport) ForensicTable() *report.Table {
 	var fs []Forensic
 	for _, c := range r.Cells {
-		if c.Forensic == nil {
-			continue
+		if c.Forensic != nil {
+			fs = append(fs, stampForensic(c.Forensic, c.Label(), c.Scheme, c.Flavor.String()))
 		}
-		f := *c.Forensic
-		f.Label = c.Label()
-		f.Scheme = c.Scheme.String()
-		f.Model = c.Flavor.String()
-		fs = append(fs, f)
 	}
 	return report.ForensicTable(fs...)
 }
@@ -210,22 +188,14 @@ func defaultTortureWorkload(seed int64) *Workload {
 // deterministic for any worker count. The returned error covers harness
 // failures only; contract violations are reported via TortureReport.Failures.
 func RunTortureMatrix(ctx context.Context, tc TortureConfig, opts SweepOptions) (*TortureReport, error) {
-	schemes := tc.Schemes
-	if len(schemes) == 0 {
-		schemes = []Scheme{BaseLU, BaseEU, HorusSLM, HorusDLM}
+	schemes, cfg, w, err := oracleSetup("torture matrix", tc.Config, tc.Schemes, tc.NewWorkload, defaultTortureWorkload)
+	if err != nil {
+		return nil, err
 	}
 	flavors := tc.Flavors
 	if len(flavors) == 0 {
 		flavors = AllCrashFlavors()
 	}
-	sink, tsSink := tc.Config.Metrics, tc.Config.Timeseries
-	cfg := tc.Config
-	cfg.Probe = probe.Probe{} // cells run in parallel and share no sink
-	newWorkload := tc.NewWorkload
-	if newWorkload == nil {
-		newWorkload = defaultTortureWorkload
-	}
-	w := newWorkload(cfg.Seed) // streams are immutable; all cells share it
 
 	type spec struct {
 		scheme Scheme
@@ -236,9 +206,6 @@ func RunTortureMatrix(ctx context.Context, tc TortureConfig, opts SweepOptions) 
 	var specs []spec
 	steps := make(map[Scheme]int, len(schemes))
 	for _, s := range schemes {
-		if !s.Secure() {
-			return nil, fmt.Errorf("horus: torture matrix requires a secure scheme, got %v (no MACs, nothing can be detected)", s)
-		}
 		n, err := countDrainSteps(cfg, s, w)
 		if err != nil {
 			return nil, fmt.Errorf("horus: counting drain steps of %v: %w", s, err)
@@ -257,7 +224,6 @@ func RunTortureMatrix(ctx context.Context, tc TortureConfig, opts SweepOptions) 
 
 	episodes := make([]sweep.Episode, len(specs))
 	for i, sp := range specs {
-		sp := sp
 		episodes[i] = sweep.Episode{
 			Label: fmt.Sprintf("%s/%s@%d", sp.scheme, sp.flavor, sp.step),
 			Run: func(ctx context.Context, env sweep.Env) (any, error) {
@@ -277,30 +243,18 @@ func RunTortureMatrix(ctx context.Context, tc TortureConfig, opts SweepOptions) 
 	for i, res := range results {
 		rep.Cells[i] = res.Value.(TortureCell)
 	}
-	if sink != nil {
+	if sink := tc.Config.Metrics; sink != nil {
 		sink.SetHelp("horus_torture_cells_total", "Crash-matrix cells by scheme, fault flavor and recovery outcome.")
 		for _, c := range rep.Cells {
-			sink.Counter("horus_torture_cells_total",
-				"scheme", c.Scheme.String(), "flavor", c.Flavor.String(), "outcome", c.Outcome.String()).Add(1)
-			if c.Outcome == OutcomeDetected && c.Forensic != nil {
-				publishDetectLatency(sink, c.Scheme, c.Flavor.String(), c.Forensic)
-			}
+			publishOutcome(sink, "horus_torture_cells_total", c.Scheme, c.Flavor.String(), c.Outcome, c.Forensic,
+				"flavor", c.Flavor.String())
 		}
 	}
-	if tsSink != nil {
-		// One sample per cell, indexed by crash step: zero for contract-
-		// satisfying outcomes, one for silent corruption. The no-silent-
-		// corruption SLO (TortureSLORules) asserts every sample is zero, and
-		// RequireData means a matrix that recorded nothing also fails.
-		w := tsSink.WindowPs()
+	if tsSink := tc.Config.Timeseries; tsSink != nil {
+		// One sample per cell, indexed by crash step (TortureSLORules).
 		for _, c := range rep.Cells {
-			s := tsSink.Counter("horus_ts_torture_silent_total",
+			recordSilent(tsSink, "horus_ts_torture_silent_total", c.Step, c.Outcome == OutcomeSilentCorruption,
 				"scheme", c.Scheme.String(), "flavor", c.Flavor.String())
-			v := 0.0
-			if c.Outcome == OutcomeSilentCorruption {
-				v = 1
-			}
-			s.Record(int64(c.Step)*w, v)
 		}
 	}
 	return rep, nil
@@ -315,8 +269,7 @@ func countDrainSteps(cfg Config, scheme Scheme, w *Workload) (int, error) {
 		return 0, err
 	}
 	inj := faultinject.NewInjector(faultinject.CrashPlan{Step: -1})
-	ws.Core.NVM.SetFaultInjector(inj)
-	if _, err := ws.drainer.Drain(flushOrder(cfg, ws.Machine.DirtyBlocks())); err != nil {
+	if _, _, err := ws.drain(inj); err != nil {
 		return 0, err
 	}
 	return inj.Steps(), nil
@@ -341,8 +294,6 @@ func runTortureCell(cfg Config, scheme Scheme, w *Workload, plan faultinject.Cra
 		cell.Detail = fmt.Sprintf("workload: %v", err)
 		return cell
 	}
-	blocks := flushOrder(cfg, ws.Machine.DirtyBlocks())
-
 	inj := faultinject.NewInjector(plan)
 	var atCut *PersistentState
 	inj.OnCut = func() {
@@ -353,15 +304,9 @@ func runTortureCell(cfg Config, scheme Scheme, w *Workload, plan faultinject.Cra
 		snap := ws.drainer.PersistSnapshot()
 		atCut = &snap
 	}
-	ws.Core.NVM.SetFaultInjector(inj)
-	res, drainErr := ws.drainer.Drain(blocks)
-	ws.Core.NVM.SetFaultInjector(nil)
-
-	var ps PersistentState
-	switch {
-	case atCut != nil:
-		ps = *atCut
-	case drainErr != nil:
+	res, blocks, drainErr := ws.drain(inj)
+	cell.Fired, _ = inj.Fired()
+	if atCut == nil && drainErr != nil {
 		// A completing-flavor fault (drop / bit flip) corrupted metadata
 		// the drain itself re-fetched: caught before power even returned.
 		if recovery.IsDetection(drainErr) {
@@ -372,18 +317,17 @@ func runTortureCell(cfg Config, scheme Scheme, w *Workload, plan faultinject.Cra
 			cell.Outcome = OutcomeInternalError
 			cell.Detail = fmt.Sprintf("drain failed with untyped error: %v", drainErr)
 		}
-		cell.Fired, _ = inj.Fired()
 		return cell
-	default:
-		ps = res.Persist
 	}
-	cell.Fired, _ = inj.Fired()
 
-	// Power loss: volatile state gone. For an interrupting fault the root
-	// register must be rewound to its at-cut snapshot — the post-cut
-	// fictional execution may have kept updating it.
+	// Power loss: volatile state gone. For an interrupting fault the
+	// persistent state is the at-cut snapshot, and the root register must
+	// be rewound to it — the post-cut fictional execution may have kept
+	// updating it.
 	ws.Crash()
+	ps := res.Persist
 	if atCut != nil {
+		ps = *atCut
 		ws.Core.Sec.RestoreRoot(ps.Root)
 	}
 
