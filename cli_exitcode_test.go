@@ -91,6 +91,9 @@ func TestCLIExitCodeContract(t *testing.T) {
 		{name: "recover bad scale", cli: "horus-recover",
 			args: []string{"-scale", "bogus"}, want: 1,
 			out: `horus-recover: unknown scale "bogus" (want paper|test)`},
+		{name: "recover CHV attack on a baseline", cli: "horus-recover",
+			args: []string{"-scheme", "base-lu", "-attack", "tamper-data"}, want: 1,
+			out: `horus-recover: attack "tamper-data" targets the CHV, which only horus-slm and horus-dlm drain to`},
 		{name: "experiments mixed-case scale", cli: "horus-experiments",
 			args: []string{"-scale", "Test", "-exp", "fig6"}, out: "Fig. 6"},
 	}

@@ -211,6 +211,13 @@ func TestCLIs(t *testing.T) {
 		if !strings.Contains(out, "attack detected") {
 			t.Errorf("attack not detected:\n%s", out)
 		}
+		// Baselines read the in-place data back rather than assume it.
+		for _, s := range []string{"base-lu", "base-eu", "non-secure"} {
+			out = run(t, bins["horus-recover"], "-scheme", s)
+			if want := "verified 5,152/5,152 in-place blocks match pre-crash contents"; !strings.Contains(out, want) {
+				t.Errorf("%s recovery output lacks %q:\n%s", s, want, out)
+			}
+		}
 	})
 
 	t.Run("runtime", func(t *testing.T) {

@@ -128,7 +128,21 @@ func main() {
 			fmt.Printf("verified %s/%s recovered blocks match pre-crash contents\n",
 				report.Count(int64(ok)), report.Count(int64(len(pre))))
 		} else {
-			fmt.Printf("metadata-cache vault re-installed (%d lines); in-place data verifies\n", res.Persist.Vault.Count)
+			// The data was drained in place: read it back, through the
+			// secure read path when there is one (functionally, so no
+			// telemetry moves).
+			read := func(addr uint64) (horus.Block, error) { return sys.Core.NVM.PeekRead(addr), nil }
+			if scheme.Secure() {
+				read = sys.Core.Sec.ProbeBlock
+			}
+			ok := 0
+			for _, b := range pre {
+				if got, err := read(b.Addr); err == nil && got == b.Data {
+					ok++
+				}
+			}
+			fmt.Printf("metadata-cache vault re-installed (%d lines); verified %s/%s in-place blocks match pre-crash contents\n",
+				res.Persist.Vault.Count, report.Count(int64(ok)), report.Count(int64(len(pre))))
 		}
 		if tf.Attrib {
 			fmt.Println()
@@ -160,6 +174,14 @@ func main() {
 func inject(sys *horus.System, res horus.Result, attack string) error {
 	lay := sys.Core.Layout
 	store := sys.Core.NVM.Store()
+	switch attack {
+	case "tamper-data", "tamper-addr", "tamper-mac", "splice":
+		if !sys.Scheme.UsesCHV() {
+			// No recovery of this scheme reads the CHV: the attack would
+			// corrupt nothing and verify as a clean recovery.
+			return fmt.Errorf("attack %q targets the CHV, which only horus-slm and horus-dlm drain to", attack)
+		}
+	}
 	switch attack {
 	case "tamper-data":
 		store.CorruptByte(lay.CHVDataAddr(0), 0, 0x01)

@@ -2,9 +2,8 @@
 // recover pipeline. A drain episode is a deterministic stream of NVM writes;
 // every write is a potential crash point ("step"). A CrashPlan picks one step
 // and a fault flavor (clean power cut, torn 64 B write, bit flip, dropped
-// flush); the Injector implements mem.FaultInjector and applies the plan,
-// while a counting pass (Step < 0) measures how many steps an episode has so
-// a matrix driver can replay it once per step per flavor.
+// flush); the Injector is the mem.WriteHook that applies the plan. A matrix
+// driver replays an episode once per step per flavor.
 package faultinject
 
 import (
@@ -106,9 +105,7 @@ func FlavorNames() string { return AllFlavors().String() }
 
 // CrashPlan selects one crash point in a drain episode.
 type CrashPlan struct {
-	// Step is the 0-based index of the NVM write to fault. A negative
-	// step never fires: the injector only counts, which is how the
-	// matrix driver measures an episode's step total.
+	// Step is the 0-based index of the NVM write to fault.
 	Step int
 	// Flavor is the fault applied at Step.
 	Flavor Flavor
@@ -125,8 +122,8 @@ type FiredInfo struct {
 	Stage string // most recent MarkStage label ("" before the first mark)
 }
 
-// Injector implements mem.FaultInjector for one CrashPlan. It is not safe
-// for concurrent use; each episode replay gets its own Injector.
+// Injector is the mem.WriteHook for one CrashPlan. It is not safe for
+// concurrent use; each episode replay gets its own Injector.
 type Injector struct {
 	plan  CrashPlan
 	step  int
@@ -145,27 +142,24 @@ type Injector struct {
 // NewInjector returns an injector for plan.
 func NewInjector(plan CrashPlan) *Injector { return &Injector{plan: plan} }
 
-// Steps returns how many writes the injector has seen. After a counting
-// pass (Step < 0) this is the episode's crash-point total.
-func (in *Injector) Steps() int { return in.step }
-
 // Fired reports whether the plan's fault was applied, and where.
 func (in *Injector) Fired() (FiredInfo, bool) { return in.info, in.fired }
 
 // OnStage records the current persist-ordering stage label.
 func (in *Injector) OnStage(stage string) { in.stage = stage }
 
-// OnWrite implements mem.FaultInjector: counts the write, fires the planned
-// fault at the chosen step, and — for interrupting flavors — keeps
-// suppressing every later write.
-func (in *Injector) OnWrite(addr uint64, cat mem.Category) mem.Fault {
+// OnWrite implements mem.WriteHook: counts the write, returns the faulted
+// block at the chosen step — a torn prefix of b over old, or b with one bit
+// flipped, or nothing for a cut or a dropped write — and, for interrupting
+// flavors, suppresses every later write.
+func (in *Injector) OnWrite(addr uint64, cat mem.Category, old, b mem.Block) (mem.Block, bool) {
 	idx := in.step
 	in.step++
 	if in.cut {
-		return mem.Fault{Kind: mem.FaultCut}
+		return old, false
 	}
-	if in.fired || in.plan.Step < 0 || idx != in.plan.Step {
-		return mem.Fault{}
+	if in.fired || idx != in.plan.Step {
+		return b, true
 	}
 	in.fired = true
 	in.info = FiredInfo{Step: idx, Addr: addr, Cat: string(cat), Stage: in.stage}
@@ -177,16 +171,15 @@ func (in *Injector) OnWrite(addr uint64, cat mem.Category) mem.Fault {
 	}
 	h := sim.SplitMix64(in.plan.Seed ^ uint64(idx)*sim.SplitMixGamma)
 	switch in.plan.Flavor {
-	case CleanCut:
-		return mem.Fault{Kind: mem.FaultCut}
 	case TornWrite:
-		return mem.Fault{Kind: mem.FaultTear, TornBytes: 1 + int(h%(mem.BlockSize-1))}
+		n := 1 + int(h%(mem.BlockSize-1))
+		copy(old[:n], b[:n])
+		return old, true
 	case BitFlip:
-		return mem.Fault{Kind: mem.FaultFlip, Byte: int(h % mem.BlockSize), Mask: 1 << ((h >> 8) % 8)}
-	case DroppedWrite:
-		return mem.Fault{Kind: mem.FaultDrop}
+		b[h%mem.BlockSize] ^= 1 << ((h >> 8) % 8)
+		return b, true
 	}
-	return mem.Fault{}
+	return old, false // CleanCut, DroppedWrite
 }
 
 // SampleSteps picks the crash points to exercise out of total steps. With

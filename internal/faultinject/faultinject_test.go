@@ -1,38 +1,30 @@
 package faultinject
 
 import (
+	"bytes"
+	"math/bits"
 	"testing"
 
 	"repro/internal/mem"
 )
 
-func TestCountingPassNeverFires(t *testing.T) {
-	in := NewInjector(CrashPlan{Step: -1, Flavor: CleanCut})
-	for i := 0; i < 10; i++ {
-		if f := in.OnWrite(uint64(i*64), mem.CatData); f.Kind != mem.FaultNone {
-			t.Fatalf("counting pass injected %v at write %d", f.Kind, i)
-		}
+func pat(v byte) mem.Block {
+	var b mem.Block
+	for i := range b {
+		b[i] = v
 	}
-	if in.Steps() != 10 {
-		t.Fatalf("Steps() = %d, want 10", in.Steps())
-	}
-	if _, fired := in.Fired(); fired {
-		t.Fatal("counting pass reported fired")
-	}
+	return b
 }
 
 func TestCleanCutSuppressesTail(t *testing.T) {
 	cutSeen := false
 	in := NewInjector(CrashPlan{Step: 3, Flavor: CleanCut})
 	in.OnCut = func() { cutSeen = true }
-	kinds := make([]mem.FaultKind, 0, 6)
+	old, b := pat(0xAA), pat(0x11)
 	for i := 0; i < 6; i++ {
-		kinds = append(kinds, in.OnWrite(uint64(i*64), mem.CatCHVData).Kind)
-	}
-	want := []mem.FaultKind{mem.FaultNone, mem.FaultNone, mem.FaultNone, mem.FaultCut, mem.FaultCut, mem.FaultCut}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("write %d fault = %v, want %v (all: %v)", i, kinds[i], want[i], kinds)
+		got, ok := in.OnWrite(uint64(i*64), mem.CatCHVData, old, b)
+		if want := i < 3; ok != want || (ok && got != b) {
+			t.Fatalf("write %d: landed %v (%x), want landed %v unchanged", i, ok, got[0], want)
 		}
 	}
 	if !cutSeen {
@@ -46,25 +38,31 @@ func TestCleanCutSuppressesTail(t *testing.T) {
 
 func TestTornWriteInterruptsAndDerivesPrefix(t *testing.T) {
 	in := NewInjector(CrashPlan{Step: 1, Flavor: TornWrite, Seed: 7})
-	in.OnWrite(0, mem.CatData)
-	f := in.OnWrite(64, mem.CatData)
-	if f.Kind != mem.FaultTear {
-		t.Fatalf("fault = %v, want tear", f.Kind)
+	old, b := pat(0xAA), pat(0x11)
+	in.OnWrite(0, mem.CatData, old, b)
+	got, ok := in.OnWrite(64, mem.CatData, old, b)
+	if !ok {
+		t.Fatal("torn write landed nothing")
 	}
-	if f.TornBytes < 1 || f.TornBytes >= mem.BlockSize {
-		t.Fatalf("TornBytes = %d, want in [1,%d)", f.TornBytes, mem.BlockSize)
+	n := 0
+	for n < mem.BlockSize && got[n] == b[n] {
+		n++
 	}
-	if tail := in.OnWrite(128, mem.CatData); tail.Kind != mem.FaultCut {
-		t.Fatalf("post-tear write fault = %v, want cut", tail.Kind)
+	if n < 1 || n >= mem.BlockSize || !bytes.Equal(got[n:], old[n:]) {
+		t.Fatalf("torn block %x: want a 1..%d-byte prefix of new over old", got, mem.BlockSize-1)
+	}
+	if _, ok := in.OnWrite(128, mem.CatData, old, b); ok {
+		t.Fatal("post-tear write landed")
 	}
 }
 
 func TestCompletingFlavorsFireOnce(t *testing.T) {
+	old, b := pat(0xAA), pat(0x11)
 	for _, flavor := range []Flavor{BitFlip, DroppedWrite} {
 		in := NewInjector(CrashPlan{Step: 2, Flavor: flavor, Seed: 42})
 		var fired int
 		for i := 0; i < 8; i++ {
-			if f := in.OnWrite(uint64(i*64), mem.CatMAC); f.Kind != mem.FaultNone {
+			if got, ok := in.OnWrite(uint64(i*64), mem.CatMAC, old, b); !ok || got != b {
 				fired++
 				if i != 2 {
 					t.Fatalf("%v fired at write %d, want 2", flavor, i)
@@ -81,18 +79,94 @@ func TestCompletingFlavorsFireOnce(t *testing.T) {
 }
 
 func TestInjectorDeterministicParams(t *testing.T) {
-	get := func() mem.Fault {
-		in := NewInjector(CrashPlan{Step: 0, Flavor: BitFlip, Seed: 99})
-		return in.OnWrite(0, mem.CatData)
+	get := func(seed uint64) mem.Block {
+		in := NewInjector(CrashPlan{Step: 0, Flavor: BitFlip, Seed: seed})
+		got, _ := in.OnWrite(0, mem.CatData, mem.Block{}, mem.Block{})
+		return got
 	}
-	a, b := get(), get()
+	a, b := get(99), get(99)
 	if a != b {
-		t.Fatalf("same plan produced different faults: %+v vs %+v", a, b)
+		t.Fatalf("same plan produced different faults: %x vs %x", a, b)
 	}
-	in2 := NewInjector(CrashPlan{Step: 0, Flavor: BitFlip, Seed: 100})
-	if c := in2.OnWrite(0, mem.CatData); c == a {
+	if c := get(100); c == a {
 		t.Log("different seeds gave the same flip parameters (possible but unlikely)")
 	}
+}
+
+// TestFaultInjectorApplication runs each flavor through a real controller:
+// what the injector returns is what lands on the medium, and every write,
+// landed or not, is still issued.
+func TestFaultInjectorApplication(t *testing.T) {
+	old, new1, new2 := pat(0xAA), pat(0x11), pat(0x22)
+	// faulted writes old at 0 and 64, installs an injector faulting the
+	// first hooked write with flavor, then writes new1 to 0 and new2 to 64.
+	faulted := func(t *testing.T, flavor Flavor) *mem.Controller {
+		c := mem.NewController(mem.DefaultConfig())
+		c.Write(0, 0, old, mem.CatData)
+		c.Write(0, 64, old, mem.CatData)
+		in := NewInjector(CrashPlan{Step: 0, Flavor: flavor, Seed: 7})
+		in.OnCut = func() {
+			if got := c.PeekRead(0); got != old {
+				t.Fatalf("OnCut ran after the faulted write landed: got %x", got[0])
+			}
+		}
+		c.SetWriteHook(in)
+		c.Write(0, 0, new1, mem.CatData)
+		c.Write(0, 64, new2, mem.CatData)
+		if c.TotalWrites() != 4 {
+			t.Fatalf("writes = %d, want 4 (faulted writes are still issued)", c.TotalWrites())
+		}
+		return c
+	}
+
+	t.Run("drop keeps old content", func(t *testing.T) {
+		c := faulted(t, DroppedWrite)
+		if got := c.PeekRead(0); got != old {
+			t.Fatalf("dropped write changed content: got %x", got[0])
+		}
+		if got := c.PeekRead(64); got != new2 {
+			t.Fatalf("write after a drop did not land: got %x", got[0])
+		}
+	})
+
+	t.Run("tear mixes new prefix with old suffix", func(t *testing.T) {
+		c := faulted(t, TornWrite)
+		got := c.PeekRead(0)
+		n := 0
+		for n < mem.BlockSize && got[n] == new1[n] {
+			n++
+		}
+		if n < 1 || n >= mem.BlockSize || !bytes.Equal(got[n:], old[n:]) {
+			t.Fatalf("torn block %x: want a new prefix over an old suffix", got)
+		}
+		if got := c.PeekRead(64); got != old {
+			t.Fatalf("post-tear write landed: got %x", got[0])
+		}
+	})
+
+	t.Run("flip toggles exactly one bit", func(t *testing.T) {
+		c := faulted(t, BitFlip)
+		got, flipped := c.PeekRead(0), 0
+		for i := range got {
+			flipped += bits.OnesCount8(got[i] ^ new1[i])
+		}
+		if flipped != 1 {
+			t.Fatalf("flip changed %d bits, want 1", flipped)
+		}
+		if got := c.PeekRead(64); got != new2 {
+			t.Fatalf("write after a flip did not land: got %x", got[0])
+		}
+	})
+
+	t.Run("cut suppresses this and all later writes", func(t *testing.T) {
+		c := faulted(t, CleanCut)
+		if got := c.PeekRead(0); got != old {
+			t.Fatalf("cut write 0 landed: got %x", got[0])
+		}
+		if got := c.PeekRead(64); got != old {
+			t.Fatalf("post-cut write landed: got %x", got[0])
+		}
+	})
 }
 
 func TestParseFlavors(t *testing.T) {

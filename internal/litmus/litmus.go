@@ -50,9 +50,8 @@ type Epoch struct {
 func (e Epoch) Size() int { return e.Hi - e.Lo }
 
 // Recorder captures a drain episode's write stream and its epoch structure.
-// It implements mem.FaultInjector (injecting nothing) plus mem.WriteRecorder
-// (capturing committed content), so installing it via SetFaultInjector
-// records a fault-free episode byte-for-byte.
+// It is a mem.WriteHook that lets every write land unchanged, so installing
+// it via SetWriteHook records a fault-free episode byte-for-byte.
 //
 // Not safe for concurrent use; record one episode per Recorder.
 type Recorder struct {
@@ -70,15 +69,14 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// OnWrite implements mem.FaultInjector; the recorder never injects faults.
-func (r *Recorder) OnWrite(addr uint64, cat mem.Category) mem.Fault { return mem.Fault{} }
-
-// OnWriteCommitted implements mem.WriteRecorder: append the committed write.
-func (r *Recorder) OnWriteCommitted(addr uint64, cat mem.Category, b mem.Block) {
+// OnWrite implements mem.WriteHook: append the write and let it land
+// unchanged.
+func (r *Recorder) OnWrite(addr uint64, cat mem.Category, _, b mem.Block) (mem.Block, bool) {
 	r.writes = append(r.writes, Write{Step: len(r.writes), Addr: addr, Cat: cat, Data: b})
+	return b, true
 }
 
-// OnStage implements mem.FaultInjector: a stage mark is a persist barrier,
+// OnStage implements mem.WriteHook: a stage mark is a persist barrier,
 // closing the epoch in progress and opening one labelled with the new stage.
 func (r *Recorder) OnStage(stage string) {
 	r.closeEpoch()

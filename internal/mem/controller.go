@@ -68,8 +68,7 @@ type Controller struct {
 	observer Observer           // optional access tracer (horus-drain -access-trace)
 	m        *accessMetrics     // optional per-access instrumentation
 	ts       *tsSeries          // optional windowed time-series sampling
-	fault    FaultInjector      // optional write-fault injection (torture harness)
-	recorder WriteRecorder      // optional committed-write observer (litmus recorder)
+	hook     WriteHook          // optional write hook (crash oracles)
 	tl       *timeline.Recorder // optional event-timeline recorder
 
 	functional bool // set only while Functionally runs its callback
@@ -80,9 +79,8 @@ type Controller struct {
 // no bank or bus reservation, no access counter, and no metrics, time
 // series, timeline or observer call; both return their ready time. Write
 // still does everything that changes or sees committed content: the
-// block's wear count, the fault injector and the write recorder. The
-// secure controller's probe reads (secmem.Controller.ProbeBlock) run in
-// this mode.
+// block's wear count and the write hook. The secure controller's probe
+// reads (secmem.Controller.ProbeBlock) run in this mode.
 func (c *Controller) Functionally(fn func()) {
 	c.functional = true
 	defer func() { c.functional = false }()
@@ -265,11 +263,11 @@ func (c *Controller) Read(ready sim.Time, addr uint64, cat Category) (Block, sim
 }
 
 // Write performs a timed, counted write of b to addr. The returned time is
-// when the write is durable in the NVM. With a fault injector installed, the
+// when the write is durable in the NVM. With a write hook installed, the
 // issued access is still timed, counted and observed (the command went out on
-// the bus), but the content that lands on the medium is the injector's
-// faulted view — possibly torn, bit-flipped, or not committed at all.
-// Inside Functionally only the wear count and the commit remain.
+// the bus), but the content that lands on the medium is what the hook returns
+// — possibly torn, bit-flipped, or not committed at all.
+// Inside Functionally only the wear count, the hook and the commit remain.
 func (c *Controller) Write(ready sim.Time, addr uint64, b Block, cat Category) sim.Time {
 	// One index probe serves the whole access: the block's position
 	// addresses both its wear count and its content.
@@ -299,22 +297,13 @@ func (c *Controller) Write(ready sim.Time, addr uint64, b Block, cat Category) s
 			c.observer.OnAccess("write", done, addr, string(cat))
 		}
 	}
-	if c.fault != nil {
-		if f := c.fault.OnWrite(addr, cat); f.Kind != FaultNone {
-			nb, commit := applyFault(f, st.blocks[i], b)
-			if commit {
-				st.blocks[i] = nb
-				if c.recorder != nil {
-					c.recorder.OnWriteCommitted(addr, cat, nb)
-				}
-			}
+	if c.hook != nil {
+		var ok bool
+		if b, ok = c.hook.OnWrite(addr, cat, st.blocks[i], b); !ok {
 			return done
 		}
 	}
 	st.blocks[i] = b
-	if c.recorder != nil {
-		c.recorder.OnWriteCommitted(addr, cat, b)
-	}
 	return done
 }
 

@@ -190,30 +190,31 @@ func TestControllerZeroBanksPanics(t *testing.T) {
 	NewController(Config{Banks: 0})
 }
 
-// scriptInjector returns a fixed fault for one write index and records the
-// stages it saw.
-type scriptInjector struct {
+// scriptHook replaces the content of one write index (or, with drop,
+// suppresses it), logs the old content it was shown and records the stages
+// it saw.
+type scriptHook struct {
 	n      int
 	at     int
-	fault  Fault
+	drop   bool
+	with   Block
+	olds   []Block
 	stages []string
 }
 
-func (s *scriptInjector) OnWrite(addr uint64, cat Category) Fault {
+func (s *scriptHook) OnWrite(addr uint64, cat Category, old, b Block) (Block, bool) {
 	idx := s.n
 	s.n++
-	if idx == s.at {
-		return s.fault
+	s.olds = append(s.olds, old)
+	if idx != s.at {
+		return b, true
 	}
-	if s.fault.Kind == FaultCut && idx > s.at {
-		return s.fault // a cut suppresses everything after it, too
-	}
-	return Fault{}
+	return s.with, !s.drop
 }
 
-func (s *scriptInjector) OnStage(stage string) { s.stages = append(s.stages, stage) }
+func (s *scriptHook) OnStage(stage string) { s.stages = append(s.stages, stage) }
 
-func TestFaultInjectorApplication(t *testing.T) {
+func TestWriteHookApplication(t *testing.T) {
 	pat := func(v byte) Block {
 		var b Block
 		for i := range b {
@@ -223,87 +224,66 @@ func TestFaultInjectorApplication(t *testing.T) {
 	}
 	old, new1, new2 := pat(0xAA), pat(0x11), pat(0x22)
 
-	t.Run("drop keeps old content", func(t *testing.T) {
+	t.Run("the returned block lands", func(t *testing.T) {
 		c := NewController(DefaultConfig())
 		c.Write(0, 0, old, CatData)
-		c.SetFaultInjector(&scriptInjector{at: 0, fault: Fault{Kind: FaultDrop}})
+		h := &scriptHook{at: 0, with: new2}
+		c.SetWriteHook(h)
 		c.Write(0, 0, new1, CatData)
+		if got := c.PeekRead(0); got != new2 {
+			t.Fatalf("landed %x, want the hook's %x", got[0], new2[0])
+		}
+		if len(h.olds) != 1 || h.olds[0] != old {
+			t.Fatalf("hook saw old content %v, want the stored block", h.olds)
+		}
+	})
+
+	t.Run("a suppressed write is still issued and worn", func(t *testing.T) {
+		c := NewController(DefaultConfig())
+		c.Write(0, 0, old, CatData)
+		c.SetWriteHook(&scriptHook{at: 0, drop: true})
+		done := c.Write(0, 0, new1, CatData)
 		if got := c.PeekRead(0); got != old {
-			t.Fatalf("dropped write changed content: got %x", got[0])
+			t.Fatalf("suppressed write changed content: got %x", got[0])
 		}
-		if c.TotalWrites() != 2 {
-			t.Fatalf("writes = %d, want 2 (the dropped write is still issued)", c.TotalWrites())
+		if c.TotalWrites() != 2 || c.WearOf(0) != 2 || done == 0 {
+			t.Fatalf("writes = %d, wear = %d, done = %v; want 2, 2 and a timed write",
+				c.TotalWrites(), c.WearOf(0), done)
 		}
 	})
 
-	t.Run("tear mixes new prefix with old suffix", func(t *testing.T) {
+	t.Run("the hook fires in functional mode", func(t *testing.T) {
+		c := NewController(DefaultConfig())
+		h := &scriptHook{at: 0, with: new2}
+		c.SetWriteHook(h)
+		c.Functionally(func() { c.Write(0, 0, new1, CatData) })
+		if h.n != 1 || c.PeekRead(0) != new2 {
+			t.Fatalf("functional write: hook calls = %d, landed %x", h.n, c.PeekRead(0)[0])
+		}
+	})
+
+	t.Run("nil hook and unchanged blocks are transparent", func(t *testing.T) {
 		c := NewController(DefaultConfig())
 		c.Write(0, 0, old, CatData)
-		c.SetFaultInjector(&scriptInjector{at: 0, fault: Fault{Kind: FaultTear, TornBytes: 8}})
+		c.SetWriteHook(&scriptHook{at: 99}) // never replaces
 		c.Write(0, 0, new1, CatData)
-		got := c.PeekRead(0)
-		for i := 0; i < 8; i++ {
-			if got[i] != new1[i] {
-				t.Fatalf("byte %d = %x, want new %x", i, got[i], new1[i])
-			}
-		}
-		for i := 8; i < BlockSize; i++ {
-			if got[i] != old[i] {
-				t.Fatalf("byte %d = %x, want old %x", i, got[i], old[i])
-			}
-		}
-	})
-
-	t.Run("flip toggles exactly one bit", func(t *testing.T) {
-		c := NewController(DefaultConfig())
-		c.SetFaultInjector(&scriptInjector{at: 0, fault: Fault{Kind: FaultFlip, Byte: 5, Mask: 0x40}})
-		c.Write(0, 0, new1, CatData)
-		got := c.PeekRead(0)
-		want := new1
-		want[5] ^= 0x40
-		if got != want {
-			t.Fatalf("flip result = %x, want %x", got, want)
-		}
-	})
-
-	t.Run("cut suppresses this and all later writes", func(t *testing.T) {
-		c := NewController(DefaultConfig())
-		c.Write(0, 0, old, CatData)
-		c.Write(0, 64, old, CatData)
-		c.SetFaultInjector(&scriptInjector{at: 0, fault: Fault{Kind: FaultCut}})
-		c.Write(0, 0, new1, CatData)
-		c.Write(0, 64, new2, CatData)
-		if got := c.PeekRead(0); got != old {
-			t.Fatalf("cut write 0 landed: got %x", got[0])
-		}
-		if got := c.PeekRead(64); got != old {
-			t.Fatalf("post-cut write landed: got %x", got[0])
-		}
-	})
-
-	t.Run("nil injector and FaultNone are transparent", func(t *testing.T) {
-		c := NewController(DefaultConfig())
-		c.Write(0, 0, old, CatData)
-		inj := &scriptInjector{at: 99} // never fires
-		c.SetFaultInjector(inj)
-		c.Write(0, 0, new1, CatData)
-		c.SetFaultInjector(nil)
+		c.SetWriteHook(nil)
 		c.Write(0, 64, new2, CatData)
 		if c.PeekRead(0) != new1 || c.PeekRead(64) != new2 {
-			t.Fatal("fault-free writes did not commit")
+			t.Fatal("unhooked writes did not commit")
 		}
 	})
 }
 
 func TestMarkStageForwarding(t *testing.T) {
 	c := NewController(DefaultConfig())
-	c.MarkStage("ignored-without-injector") // no-op, must not panic
-	inj := &scriptInjector{at: 99}
-	c.SetFaultInjector(inj)
+	c.MarkStage("ignored-without-hook") // no-op, must not panic
+	h := &scriptHook{at: 99}
+	c.SetWriteHook(h)
 	c.MarkStage("drain:blocks")
 	c.MarkStage("drain:meta-flush")
-	if len(inj.stages) != 2 || inj.stages[0] != "drain:blocks" || inj.stages[1] != "drain:meta-flush" {
-		t.Fatalf("stages = %v", inj.stages)
+	if len(h.stages) != 2 || h.stages[0] != "drain:blocks" || h.stages[1] != "drain:meta-flush" {
+		t.Fatalf("stages = %v", h.stages)
 	}
 }
 

@@ -7,9 +7,9 @@
 //
 // Each sink is independently optional: a nil field is the detached fast
 // path of that sink (one pointer check per event), and the zero Probe
-// disables instrumentation entirely. The sinks only observe; the hooks
-// that change what commits (fault injection, the litmus write recorder)
-// are attached separately.
+// disables instrumentation entirely. The sinks only observe; the write
+// hook that may change what commits (mem.WriteHook: fault injection, the
+// litmus write recorder) is attached separately.
 package probe
 
 import (

@@ -433,7 +433,7 @@ func (m *Machine) Persist(addr uint64) error {
 // Run executes a workload stream to completion.
 func (m *Machine) Run(s *workload.Stream) error {
 	// Stamp directly on the recorder rather than via nvm.MarkStage: stage
-	// marks also reach fault injectors, and the torture harness counts them.
+	// marks also reach the NVM write hook, which opens an epoch per mark.
 	m.tl.SetStage("run")
 	span := m.metrics.StartSpan("run", int64(m.now))
 	defer func() {

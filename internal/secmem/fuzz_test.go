@@ -21,7 +21,7 @@ const (
 	slotKinds
 )
 
-// wbDepthProbe is a fault injector that injects nothing: it records the
+// wbDepthProbe is a write hook that lets every write land: it records the
 // deepest write-back buffer seen at any NVM write, so a run can show that
 // it cascaded.
 type wbDepthProbe struct {
@@ -29,9 +29,9 @@ type wbDepthProbe struct {
 	maxDepth int
 }
 
-func (p *wbDepthProbe) OnWrite(uint64, mem.Category) mem.Fault {
+func (p *wbDepthProbe) OnWrite(_ uint64, _ mem.Category, _, b mem.Block) (mem.Block, bool) {
 	p.maxDepth = max(p.maxDepth, len(p.c.wb))
-	return mem.Fault{}
+	return b, true
 }
 
 func (p *wbDepthProbe) OnStage(string) {}
@@ -57,7 +57,7 @@ func runDirtyLineSlots(t *testing.T, eager bool, data []byte) slotRun {
 	}
 	c := probeSystem(scheme)
 	wbProbe := &wbDepthProbe{c: c}
-	c.nvm.SetFaultInjector(wbProbe)
+	c.nvm.SetWriteHook(wbProbe)
 	golden := map[uint64]mem.Block{}
 	var written []uint64
 	var now sim.Time

@@ -32,29 +32,25 @@ func probeSystem(scheme UpdateScheme) *Controller {
 	return New(cfg, lay, cme.NewEngine(99), mem.NewController(mem.DefaultConfig()))
 }
 
-// hookLog is a fault injector and write recorder: it logs every hook call
-// and, when every > 0, flips one bit of every every-th write, so write-backs
-// made during probing change committed content.
+// hookLog is a write hook that logs every write with the content that
+// lands and, when every > 0, flips one bit of every every-th write, so
+// write-backs made during probing change committed content.
 type hookLog struct {
 	every int
 	n     int
 	calls []string
 }
 
-func (h *hookLog) OnWrite(addr uint64, cat mem.Category) mem.Fault {
+func (h *hookLog) OnWrite(addr uint64, cat mem.Category, _, b mem.Block) (mem.Block, bool) {
 	h.n++
-	h.calls = append(h.calls, fmt.Sprintf("write %#x %s", addr, cat))
 	if h.every > 0 && h.n%h.every == 0 {
-		return mem.Fault{Kind: mem.FaultFlip, Byte: h.n, Mask: 1}
+		b[h.n%mem.BlockSize] ^= 1
 	}
-	return mem.Fault{}
+	h.calls = append(h.calls, fmt.Sprintf("write %#x %s %x", addr, cat, b[:8]))
+	return b, true
 }
 
 func (h *hookLog) OnStage(stage string) {}
-
-func (h *hookLog) OnWriteCommitted(addr uint64, cat mem.Category, b mem.Block) {
-	h.calls = append(h.calls, fmt.Sprintf("commit %#x %s %x", addr, cat, b[:8]))
-}
 
 // probeResult is one read's outcome: the block, the typed error, or the
 // panic message of an integrity failure met during eviction handling.
@@ -174,8 +170,8 @@ func TestProbeBlockMatchesReadBlock(t *testing.T) {
 				if variant == "faulty-writebacks" {
 					hooksT.every, hooksP.every = 5, 5
 				}
-				timed.nvm.SetFaultInjector(hooksT)
-				probed.nvm.SetFaultInjector(hooksP)
+				timed.nvm.SetWriteHook(hooksT)
+				probed.nvm.SetWriteHook(hooksP)
 
 				reg := obs.NewRegistry()
 				rec := timeline.NewRecorder(0)
@@ -219,7 +215,7 @@ func TestProbeBlockMatchesReadBlock(t *testing.T) {
 					t.Fatalf("%s: NVM content or wear diverged", name)
 				}
 				if !reflect.DeepEqual(hooksP.calls, hooksT.calls) {
-					t.Fatalf("%s: fault-injector/write-recorder calls diverged (%d vs %d)", name, len(hooksP.calls), len(hooksT.calls))
+					t.Fatalf("%s: write-hook calls diverged (%d vs %d)", name, len(hooksP.calls), len(hooksT.calls))
 				}
 				for _, st := range []struct {
 					what          string

@@ -110,8 +110,8 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) (mem.Block, sim.Time, 
 
 // ProbeBlock is a functional ReadBlock: it runs the same read, verification
 // walk and cache fills, so every state change ReadBlock makes — cache fills
-// and evictions, dirty write-backs (with their wear, fault-injector and
-// write-recorder hooks), parent-entry updates — happens here too, and the
+// and evictions, dirty write-backs (with their wear and write hook),
+// parent-entry updates — happens here too, and the
 // same typed IntegrityError comes back. What it skips is time: no bank, bus
 // or crypto-engine reservation, no access, MAC, AES or level-fetch counter,
 // and no metrics, time-series, timeline or observer call. The crash oracles

@@ -111,10 +111,10 @@ func (ws *WorkloadSystem) CrashAndDrain() (Result, []DirtyBlock, error) {
 // under the scheme, with hook (a fault injector, the litmus recorder, or
 // nil) seeing every NVM write. It returns the result and the blocks in
 // drain order, which the crash oracles hold recovery to.
-func (ws *WorkloadSystem) drain(hook mem.FaultInjector) (Result, []DirtyBlock, error) {
+func (ws *WorkloadSystem) drain(hook mem.WriteHook) (Result, []DirtyBlock, error) {
 	blocks := flushOrder(ws.Config, ws.Machine.DirtyBlocks())
-	ws.Core.NVM.SetFaultInjector(hook)
-	defer ws.Core.NVM.SetFaultInjector(nil)
+	ws.Core.NVM.SetWriteHook(hook)
+	defer ws.Core.NVM.SetWriteHook(nil)
 	res, err := ws.drainer.Drain(blocks)
 	return res, blocks, err
 }

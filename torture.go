@@ -260,19 +260,18 @@ func RunTortureMatrix(ctx context.Context, tc TortureConfig, opts SweepOptions) 
 	return rep, nil
 }
 
-// countDrainSteps replays the episode with a counting injector (a plan that
-// never fires) and returns how many NVM writes the drain performs — the
-// number of crash points to enumerate.
+// countDrainSteps replays the episode fault-free and returns how many NVM
+// writes the drain performs — the number of crash points to enumerate.
 func countDrainSteps(cfg Config, scheme Scheme, w *Workload) (int, error) {
 	ws := NewWorkloadSystem(cfg, scheme, DomainEPD)
 	if err := ws.Run(w); err != nil {
 		return 0, err
 	}
-	inj := faultinject.NewInjector(faultinject.CrashPlan{Step: -1})
-	if _, _, err := ws.drain(inj); err != nil {
+	res, _, err := ws.drain(nil)
+	if err != nil {
 		return 0, err
 	}
-	return inj.Steps(), nil
+	return int(res.MemWrites.Total()), nil
 }
 
 // runTortureCell replays one episode, faults it per the plan, crashes,

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/faultinject"
 )
 
 // TestTortureMatrixNoSilentCorruption is the acceptance gate of the crash
@@ -133,5 +135,46 @@ func TestTortureSingleSchemeSubset(t *testing.T) {
 	}
 	if !rep.Ok() {
 		t.Fatalf("subset matrix failed: %v", rep.Failures())
+	}
+}
+
+// TestDrainStepCountsAgree pins what the torture matrix's crash points
+// stand on. For every secure scheme on both default oracle workloads, the
+// step total (the fault-free drain's MemWrites) is the length of the
+// litmus recorder's write stream, and the fault injector can fire at the
+// last step but not one past it.
+func TestDrainStepCountsAgree(t *testing.T) {
+	for _, wl := range []struct {
+		harness string
+		def     func(int64) *Workload
+	}{{"torture matrix", defaultTortureWorkload}, {"litmus", defaultLitmusWorkload}} {
+		schemes, cfg, w, err := oracleSetup(wl.harness, TestConfig(), nil, nil, wl.def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range schemes {
+			steps, err := countDrainSteps(cfg, s, w)
+			if err != nil || steps == 0 {
+				t.Fatalf("%s/%v: countDrainSteps = %d, %v", wl.harness, s, steps, err)
+			}
+			ep, err := recordLitmusEpisode(cfg, s, w)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", wl.harness, s, err)
+			}
+			if len(ep.writes) != steps {
+				t.Errorf("%s/%v: litmus recorded %d writes, torture counts %d steps", wl.harness, s, len(ep.writes), steps)
+			}
+			for _, step := range []int{steps - 1, steps} {
+				ws := NewWorkloadSystem(cfg, s, DomainEPD)
+				if err := ws.Run(w); err != nil {
+					t.Fatal(err)
+				}
+				inj := faultinject.NewInjector(faultinject.CrashPlan{Step: step, Flavor: CrashCleanCut})
+				ws.drain(inj)
+				if _, fired := inj.Fired(); fired != (step < steps) {
+					t.Errorf("%s/%v: a cut at step %d of %d fired = %v", wl.harness, s, step, steps, fired)
+				}
+			}
+		}
 	}
 }
